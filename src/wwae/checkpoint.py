@@ -16,13 +16,17 @@ import numpy as np
 
 from . import nn
 from .config import TrainConfig, config_from_dict, config_to_dict
-from .models import Model, TrainState
+from .models import TrainState, arena_model
 from .numerics import Rng
 
 MAGIC = "WWAECKPT 1"
 
 # Order of the binary float64 blocks after the manifest line.
 _BLOCKS = ("enc_params", "dec_params", "enc_m", "enc_v", "dec_m", "dec_v")
+_HEADER_KEYS = (
+    "adam_dec", "adam_enc", "blocks", "config", "data_rng", "dec", "enc",
+    "image_shape", "latent_dim", "output_activation", "rng", "step",
+)
 
 
 def _adam_dict(state: nn.AdamState) -> dict:
@@ -53,43 +57,56 @@ def _net_dict(params: nn.MlpParams) -> dict:
     return {"widths": params.widths, "activations": list(params.activations)}
 
 
-def _zeros_like_net(d: dict) -> nn.MlpParams:
-    widths = [int(w) for w in d["widths"]]
-    acts = [str(a) for a in d["activations"]]
-    weights = [np.zeros((widths[i + 1], widths[i])) for i in range(len(acts))]
-    biases = [np.zeros(widths[i + 1]) for i in range(len(acts))]
-    return nn.MlpParams(weights, biases, acts)
+def _net_shape(d: dict) -> tuple[list[int], list[str]]:
+    return [int(w) for w in d["widths"]], [str(a) for a in d["activations"]]
+
+
+def _block_views(theta: np.ndarray, adam: nn.AdamState, n_enc: int) -> list[np.ndarray]:
+    """The blocks in file order, as views of the enc || dec parameter and
+    moment vectors: the per-network blocks predate the single vectors, and
+    slicing keeps the files unchanged."""
+    m, v = adam.m, adam.v
+    return [theta[:n_enc], theta[n_enc:], m[:n_enc], v[:n_enc], m[n_enc:], v[n_enc:]]
 
 
 def save_checkpoint(path: str | Path, state: TrainState) -> None:
     path = Path(path)
-    blocks = {
-        "enc_params": nn.flatten_params(state.model.enc),
-        "dec_params": nn.flatten_params(state.model.dec),
-        "enc_m": state.adam_enc.m,
-        "enc_v": state.adam_enc.v,
-        "dec_m": state.adam_dec.m,
-        "dec_v": state.adam_dec.v,
-    }
+    model, adam = state.model, state.adam
+    blocks = _block_views(model.theta, adam, model.enc.n_params())
     manifest = {
         "config": config_to_dict(state.config),
         "step": state.step,
-        "latent_dim": state.model.latent_dim,
-        "output_activation": state.model.output_activation,
-        "enc": _net_dict(state.model.enc),
-        "dec": _net_dict(state.model.dec),
-        "adam_enc": _adam_dict(state.adam_enc),
-        "adam_dec": _adam_dict(state.adam_dec),
+        "latent_dim": model.latent_dim,
+        "output_activation": model.output_activation,
+        "enc": _net_dict(model.enc),
+        "dec": _net_dict(model.dec),
+        "adam_enc": _adam_dict(adam),
+        "adam_dec": _adam_dict(adam),
         "rng": state.rng.state(),
         "data_rng": state.data_rng.state(),
         "image_shape": list(state.image_shape) if state.image_shape else None,
-        "blocks": [[name, int(blocks[name].size)] for name in _BLOCKS],
+        "blocks": [[name, int(block.size)] for name, block in zip(_BLOCKS, blocks)],
     }
     header = MAGIC + "\n" + json.dumps(manifest, sort_keys=True) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for name in _BLOCKS:
-            fh.write(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes())
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
+
+
+def _block_sizes(manifest: dict, n_enc: int, n_dec: int) -> list[int]:
+    """The float64 count of each block, checked against the network widths.
+
+    The moment blocks are empty before the first optimizer step.
+    """
+    for moments in ([0, 0, 0, 0], [n_enc, n_enc, n_dec, n_dec]):
+        sizes = [n_enc, n_dec, *moments]
+        if manifest["blocks"] == [[name, size] for name, size in zip(_BLOCKS, sizes)]:
+            return sizes
+    raise ValueError(
+        f"checkpoint blocks {manifest['blocks']!r} do not match networks of "
+        f"{n_enc} and {n_dec} parameters"
+    )
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
@@ -102,41 +119,44 @@ def load_checkpoint(path: str | Path) -> TrainState:
             raise ValueError(f"not a checkpoint file (bad magic line {magic!r})")
         manifest = json.loads(fh.readline().decode("ascii"))
         raw = fh.read()
+    missing = [k for k in _HEADER_KEYS if not isinstance(manifest, dict) or k not in manifest]
+    if missing:
+        raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
+    if manifest["adam_enc"] != manifest["adam_dec"]:
+        raise ValueError("checkpoint has different encoder and decoder optimizer settings")
 
-    blocks: dict[str, np.ndarray] = {}
+    cfg: TrainConfig = config_from_dict(manifest["config"])
+    enc_shape, dec_shape = _net_shape(manifest["enc"]), _net_shape(manifest["dec"])
+    n_enc, n_dec = nn.n_params(enc_shape[0]), nn.n_params(dec_shape[0])
+    sizes = _block_sizes(manifest, n_enc, n_dec)
+    model = arena_model(
+        np.empty(n_enc + n_dec),
+        enc_shape,
+        dec_shape,
+        int(manifest["latent_dim"]),
+        str(manifest["output_activation"]),
+    )
+    adam = _adam_from_dict(manifest["adam_enc"])
+    if sizes[2]:  # the moments exist from the first optimizer step on
+        adam.m, adam.v = np.empty(n_enc + n_dec), np.empty(n_enc + n_dec)
     pos = 0
-    for name, count in manifest["blocks"]:
+    for name, count, target in zip(_BLOCKS, sizes, _block_views(model.theta, adam, n_enc)):
         nbytes = count * 8
         if pos + nbytes > len(raw):
             raise ValueError(
                 f"checkpoint truncated: block {name!r} needs {nbytes} bytes, "
                 f"{len(raw) - pos} left"
             )
-        blocks[name] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").astype(
-            np.float64
-        )
+        target[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
         pos += nbytes
     if pos != len(raw):
         raise ValueError(f"checkpoint has {len(raw) - pos} trailing bytes")
-
-    cfg: TrainConfig = config_from_dict(manifest["config"])
-    enc = nn.unflatten_params(blocks["enc_params"], _zeros_like_net(manifest["enc"]))
-    dec = nn.unflatten_params(blocks["dec_params"], _zeros_like_net(manifest["dec"]))
-    model = Model(
-        enc, dec, int(manifest["latent_dim"]), str(manifest["output_activation"])
-    )
-
-    adam_enc = _adam_from_dict(manifest["adam_enc"])
-    adam_enc.m, adam_enc.v = blocks["enc_m"], blocks["enc_v"]
-    adam_dec = _adam_from_dict(manifest["adam_dec"])
-    adam_dec.m, adam_dec.v = blocks["dec_m"], blocks["dec_v"]
 
     shape = manifest["image_shape"]
     return TrainState(
         config=cfg,
         model=model,
-        adam_enc=adam_enc,
-        adam_dec=adam_dec,
+        adam=adam,
         rng=Rng.from_state(manifest["rng"]),
         data_rng=Rng.from_state(manifest["data_rng"]),
         step=int(manifest["step"]),

@@ -8,6 +8,9 @@ to stdout only, never into files.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,6 +35,10 @@ DESK_FID_NOTE = (
 CHECKPOINT_NAME = "model.ckpt"
 MANIFEST_NAME = "manifest.txt"
 BASIS_NAME = "fid_basis.bin"
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass
@@ -86,15 +93,11 @@ class _FidEvaluator:
         self.count = min(dataset.n, FID_EVAL_CAP)
         reference = dataset.examples[: self.count]
         if dataset.image_shape is not None:
+            # Always fitted on this run's data: a basis left in out_dir by an
+            # earlier run may come from other data.
             k = min(metrics.DEFAULT_FEATURE_DIM, self.count, dataset.dim)
-            basis_path = out_dir / BASIS_NAME
-            if basis_path.is_file():
-                basis = metrics.load_basis(basis_path)
-                self.real, _ = metrics.pixel_pca_features(reference, basis)
-            else:
-                self.real, basis = metrics.pixel_pca_features(reference, None, k)
-                metrics.save_basis(basis_path, basis)
-            self.basis = basis
+            self.real, self.basis = metrics.pixel_pca_features(reference, None, k)
+            metrics.save_basis(out_dir / BASIS_NAME, self.basis)
         else:
             self.basis = None
             self.real = metrics.FeatureSet(reference, "real")
@@ -336,7 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed memory in the process heap instead of handing it back.
+
+    Under glibc's default thresholds, multi-megabyte temporaries (a step's
+    gradient, a checkpoint's payload) are mapped, unmapped and faulted in
+    again, at a cost that depends on the heap layout. With these settings
+    up to 1 GiB of free heap stays untrimmed and blocks below 32 MiB come
+    from the heap. Without glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -68,54 +68,42 @@ def check_model_grads(
         cfg, root.split(1), n, cfg.latent_dim
     )
 
-    parts, grads = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats)
-    enc_grad, dec_grad = grads.enc, grads.dec
+    _, grads = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats)
+    analytic = grads.flat
     if corrupt_hook is not None:
-        enc_grad, dec_grad = corrupt_hook(enc_grad, dec_grad)
+        analytic = np.concatenate(corrupt_hook(grads.enc, grads.dec))
 
-    enc_flat = nn.flatten_params(model.enc)
-    dec_flat = nn.flatten_params(model.dec)
+    # The model is this function's own: each probe bumps one coordinate of
+    # its parameter vector in place and puts the saved value back.
+    theta = model.theta
 
-    def loss_at(enc_vec: np.ndarray, dec_vec: np.ndarray) -> float:
-        probe = models.Model(
-            nn.unflatten_params(enc_vec, model.enc),
-            nn.unflatten_params(dec_vec, model.dec),
-            model.latent_dim,
-            model.output_activation,
-        )
-        p, _ = models.loss_and_grads(probe, cfg, x, eps, z_prior, prior_stats)
+    def loss_at(k: int, value: float) -> float:
+        theta[k] = value
+        p, _ = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats)
         return p.total
 
+    n_enc = grads.n_enc
     max_rel = 0.0
     worst = "none"
     checked = 0
-    for net, base_enc, base_dec, analytic in (
-        ("enc", enc_flat, dec_flat, enc_grad),
-        ("dec", enc_flat, dec_flat, dec_grad),
-    ):
-        vec = base_enc if net == "enc" else base_dec
-        like = model.enc if net == "enc" else model.dec
-        for idx in range(vec.size):
-            bumped_hi = vec.copy()
-            bumped_lo = vec.copy()
-            bumped_hi[idx] += FD_STEP
-            bumped_lo[idx] -= FD_STEP
-            if net == "enc":
-                hi = loss_at(bumped_hi, base_dec)
-                lo = loss_at(bumped_lo, base_dec)
+    for k in range(theta.size):
+        saved = theta[k]
+        hi = loss_at(k, saved + FD_STEP)
+        lo = loss_at(k, saved - FD_STEP)
+        theta[k] = saved
+        fd = (hi - lo) / (2.0 * FD_STEP)
+        a = analytic[k]
+        scale = max(abs(a), abs(fd))
+        if scale <= GRAD_FLOOR:
+            continue
+        rel = abs(a - fd) / scale
+        checked += 1
+        if rel > max_rel:
+            max_rel = rel
+            if k < n_enc:
+                worst = _coordinate_name(model.enc, "enc", k)
             else:
-                hi = loss_at(base_enc, bumped_hi)
-                lo = loss_at(base_enc, bumped_lo)
-            fd = (hi - lo) / (2.0 * FD_STEP)
-            a = analytic[idx]
-            scale = max(abs(a), abs(fd))
-            if scale <= GRAD_FLOOR:
-                continue
-            rel = abs(a - fd) / scale
-            checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = _coordinate_name(like, net, idx)
+                worst = _coordinate_name(model.dec, "dec", k - n_enc)
     return GradCheckResult(cfg.reg_kind(), max_rel, worst, checked, max_rel <= REL_TOL)
 
 

@@ -33,12 +33,36 @@ class EncoderOut:
 
 @dataclass
 class Model:
-    """Encoder and decoder networks plus the decoder output transform."""
+    """Encoder and decoder networks plus the decoder output transform.
+
+    A model from `build_model` or `arena_model` keeps every weight and bias
+    as a view of one vector, `theta`, laid out enc || dec in the
+    `nn.flatten_params` order of each network; training updates `theta` in
+    place. A model assembled from separate arrays has `theta = None`: it
+    evaluates and differentiates like any other but cannot be trained or
+    saved.
+    """
 
     enc: nn.MlpParams
     dec: nn.MlpParams
     latent_dim: int
     output_activation: str  # "sigmoid" for image data, "identity" otherwise
+    theta: Optional[np.ndarray] = None
+
+
+def arena_model(
+    theta: np.ndarray,
+    enc_shape: tuple[list[int], list[str]],
+    dec_shape: tuple[list[int], list[str]],
+    latent_dim: int,
+    output_activation: str,
+) -> Model:
+    """A model whose networks, given as (widths, activations), are views of
+    the float64 vector `theta`."""
+    n_enc = nn.n_params(enc_shape[0])
+    enc = nn.param_views(theta[:n_enc], *enc_shape)
+    dec = nn.param_views(theta[n_enc:], *dec_shape)
+    return Model(enc, dec, latent_dim, output_activation, theta)
 
 
 @dataclass
@@ -76,7 +100,14 @@ def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> 
     dec_acts = ["relu"] * len(cfg.dec_hidden) + ["identity"]
     enc = nn.init_params(rng, enc_widths, enc_acts)
     dec = nn.init_params(rng, dec_widths, dec_acts)
-    return Model(enc, dec, ell, "sigmoid" if image_data else "identity")
+    theta = np.concatenate([nn.flatten_params(enc), nn.flatten_params(dec)])
+    return arena_model(
+        theta,
+        (enc_widths, enc_acts),
+        (dec_widths, dec_acts),
+        ell,
+        "sigmoid" if image_data else "identity",
+    )
 
 
 def encode(params: nn.MlpParams, x: Matrix) -> EncoderOut:
@@ -141,14 +172,22 @@ def decode(model: Model, z: Matrix) -> Matrix:
 
 
 @dataclass
-class _Grads:
-    enc: np.ndarray  # flattened
-    dec: np.ndarray
+class Grads:
+    """The loss gradient in the `Model.theta` layout, enc || dec."""
+
+    flat: np.ndarray
+    n_enc: int
+
+    @property
+    def enc(self) -> np.ndarray:
+        return self.flat[: self.n_enc]
+
+    @property
+    def dec(self) -> np.ndarray:
+        return self.flat[self.n_enc :]
 
     def max_abs(self) -> float:
-        enc = float(np.max(np.abs(self.enc))) if self.enc.size else 0.0
-        dec = float(np.max(np.abs(self.dec))) if self.dec.size else 0.0
-        return max(enc, dec)
+        return float(np.max(np.abs(self.flat)))
 
 
 def loss_and_grads(
@@ -158,7 +197,7 @@ def loss_and_grads(
     eps: Matrix,
     z_prior: Optional[Matrix],
     prior_stats: Optional[GaussStats],
-) -> tuple[LossParts, _Grads]:
+) -> tuple[LossParts, Grads]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
     `z_prior` is the prior sample (required for mmd and sampled-stats w2);
@@ -211,7 +250,9 @@ def loss_and_grads(
         d_decy = d_xhat * x_hat * (1.0 - x_hat)
     else:
         d_decy = d_xhat
-    grad_dec, d_z = nn.mlp_backward(model.dec, dec_tape, d_decy)
+    n_enc = model.enc.n_params()
+    grads = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
+    _, d_z = nn.mlp_backward(model.dec, dec_tape, d_decy, out=grads.dec)
 
     # Regularizer path: gradient w.r.t. codes and/or heads directly.
     d_mu_extra = None
@@ -236,18 +277,15 @@ def loss_and_grads(
     d_logvar = d_logvar * clamp_mask
 
     grad_enc_y = np.concatenate([d_mu, d_logvar], axis=1)
-    grad_enc, _ = nn.mlp_backward(model.enc, enc_tape, grad_enc_y)
-
-    grads = _Grads(nn.flatten_params(grad_enc), nn.flatten_params(grad_dec))
+    nn.mlp_backward(model.enc, enc_tape, grad_enc_y, out=grads.enc, input_grad=False)
     return parts, grads
 
 
 @dataclass
 class TrainState:
     config: TrainConfig
-    model: Model
-    adam_enc: nn.AdamState
-    adam_dec: nn.AdamState
+    model: Model  # built on an arena: train_step updates model.theta
+    adam: nn.AdamState  # one optimizer over model.theta, enc || dec
     rng: Rng  # per-step noise: prior batch first, then encoder noise
     data_rng: Rng  # mini-batch index stream
     step: int
@@ -259,21 +297,17 @@ def init_train_state(
 ) -> TrainState:
     root = Rng(cfg.seed)
     model = build_model(cfg, data_dim, root.split(2), image_shape is not None)
-
-    def adam() -> nn.AdamState:
-        return nn.AdamState(
-            lr=cfg.lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            decay_every=cfg.decay_every,
-            decay_factor=cfg.decay_factor,
-        )
-
+    adam = nn.AdamState(
+        lr=cfg.lr,
+        beta1=cfg.beta1,
+        beta2=cfg.beta2,
+        decay_every=cfg.decay_every,
+        decay_factor=cfg.decay_factor,
+    )
     return TrainState(
         config=cfg,
         model=model,
-        adam_enc=adam(),
-        adam_dec=adam(),
+        adam=adam,
         rng=root.split(1),
         data_rng=root.split(0),
         step=0,
@@ -323,13 +357,10 @@ def train_step(state: TrainState, x: Matrix) -> StepReport:
     ):
         raise TrainingDiverged(state.step, parts, grads.max_abs())
 
-    lr_used = state.adam_enc.effective_lr()
-    enc_flat = nn.flatten_params(state.model.enc)
-    dec_flat = nn.flatten_params(state.model.dec)
-    enc_flat = nn.adam_step(state.adam_enc, enc_flat, grads.enc)
-    dec_flat = nn.adam_step(state.adam_dec, dec_flat, grads.dec)
-    state.model.enc = nn.unflatten_params(enc_flat, state.model.enc)
-    state.model.dec = nn.unflatten_params(dec_flat, state.model.dec)
+    # Adam is element-wise and both networks share lr, betas and t, so one
+    # update over enc || dec gives the bits of one update per network.
+    lr_used = state.adam.effective_lr()
+    nn.adam_step(state.adam, state.model.theta, grads.flat)
     state.step += 1
     return StepReport(state.step, parts.total, parts.recon, parts.reg, lr_used)
 

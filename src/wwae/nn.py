@@ -9,6 +9,7 @@ so each forward returns the tape its backward needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +48,12 @@ class MlpParams:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return n_params(self.widths)
+
+
+def n_params(widths: list[int]) -> int:
+    """Weight and bias count of a stack with these layer widths."""
+    return sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
 
 
 @dataclass
@@ -60,7 +66,11 @@ class Tape:
 
 @dataclass
 class AdamState:
-    """Adam moments plus a stepwise-decay learning-rate schedule."""
+    """Adam moments plus a stepwise-decay learning-rate schedule.
+
+    `m`, `v` and the two scratch vectors are allocated on the first step and
+    then updated in place, so a step allocates nothing of parameter size.
+    """
 
     lr: float = 0.005
     beta1: float = 0.5
@@ -71,6 +81,9 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _scratch: tuple[np.ndarray, np.ndarray] = field(
+        default=(np.zeros(0), np.zeros(0)), init=False, repr=False, compare=False
+    )
 
     def effective_lr(self) -> float:
         if self.decay_every <= 0:
@@ -86,12 +99,13 @@ def _apply_act(s: Matrix, act: str) -> Matrix:
     return s
 
 
-def _act_deriv(s: Matrix, act: str) -> Matrix:
+def _act_backward(grad_a: Matrix, s: Matrix, act: str) -> Matrix:
+    """Gradient w.r.t. the pre-activation s, given the one w.r.t. act(s)."""
     if act == "relu":
-        return (s > 0.0).astype(np.float64)  # subgradient at 0 is 0
+        return grad_a * (s > 0.0)  # subgradient at 0 is 0
     if act == "tanh":
-        return 1.0 - np.tanh(s) ** 2
-    return np.ones_like(s)
+        return grad_a * (1.0 - np.tanh(s) ** 2)
+    return grad_a
 
 
 def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
@@ -113,9 +127,19 @@ def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
 
 
 def mlp_backward(
-    params: MlpParams, tape: Tape, grad_y: Matrix
-) -> tuple[MlpParams, Matrix]:
-    """Exact gradients of <grad_y, output> w.r.t. parameters and input."""
+    params: MlpParams,
+    tape: Tape,
+    grad_y: Matrix,
+    out: Optional[np.ndarray] = None,
+    input_grad: bool = True,
+) -> tuple[MlpParams, Optional[Matrix]]:
+    """Exact gradients of <grad_y, output> w.r.t. parameters and input.
+
+    The parameter gradients are written into `out` (a fresh vector when it
+    is None) in the `flatten_params` layout and returned as views of it.
+    With `input_grad=False` the input gradient is not computed and None is
+    returned in its place.
+    """
     grad_y = np.asarray(grad_y, dtype=np.float64)
     if len(tape.preacts) != len(params.weights):
         raise ValueError("tape does not match network depth")
@@ -123,15 +147,15 @@ def mlp_backward(
         raise ValueError(
             f"grad shape {grad_y.shape} does not match output {tape.preacts[-1].shape}"
         )
-    grad_ws: list[Matrix] = [None] * len(params.weights)  # type: ignore[list-item]
-    grad_bs: list[np.ndarray] = [None] * len(params.weights)  # type: ignore[list-item]
+    if out is None:
+        out = np.empty(params.n_params())
+    grads = param_views(out, params.widths, params.activations)
     grad_a = grad_y
     for i in reversed(range(len(params.weights))):
-        ds = grad_a * _act_deriv(tape.preacts[i], params.activations[i])
-        grad_ws[i] = ds.T @ tape.inputs[i]
-        grad_bs[i] = ds.sum(axis=0)
-        grad_a = ds @ params.weights[i]
-    grads = MlpParams(grad_ws, grad_bs, list(params.activations))
+        ds = _act_backward(grad_a, tape.preacts[i], params.activations[i])
+        np.matmul(ds.T, tape.inputs[i], out=grads.weights[i])
+        np.sum(ds, axis=0, out=grads.biases[i])
+        grad_a = ds @ params.weights[i] if i > 0 or input_grad else None
     return grads, grad_a
 
 
@@ -161,28 +185,43 @@ def flatten_params(params: MlpParams) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != like.n_params():
-        raise ValueError(f"expected {like.n_params()} values, got {flat.size}")
+def param_views(flat: np.ndarray, widths: list[int], activations: list[str]) -> MlpParams:
+    """Weights and biases as reshaped views of `flat`, in `flatten_params`
+    order: writing to a layer writes to `flat`, and the reverse."""
     weights, biases = [], []
     pos = 0
-    for w, b in zip(like.weights, like.biases):
-        weights.append(flat[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos : pos + b.size].copy())
-        pos += b.size
-    return MlpParams(weights, biases, list(like.activations))
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        if fan_in < 1 or fan_out < 1:
+            raise ValueError(f"layer widths must be positive, got {widths}")
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in))
+        pos += fan_in * fan_out
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    if pos != flat.size:
+        raise ValueError(f"expected {pos} values for widths {widths}, got {flat.size}")
+    return MlpParams(weights, biases, list(activations))
+
+
+def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
+    """A copy of `flat` shaped like `like`; it shares no memory with `flat`."""
+    flat = np.array(flat, dtype=np.float64)
+    if flat.size != like.n_params():
+        raise ValueError(f"expected {like.n_params()} values, got {flat.size}")
+    return param_views(flat, like.widths, like.activations)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update; mutates state, returns new params.
+    """One bias-corrected Adam update of `params` in place; returns `params`.
 
     The effective learning rate is lr * decay_factor^(t // decay_every),
-    evaluated with the pre-increment step counter.
+    evaluated with the pre-increment step counter. The update runs in the
+    order of the textbook form
+    params - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+    so it gives the same bits as that expression evaluated with temporaries.
     """
-    params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
+    if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+        raise ValueError("params must be a float64 array, updated in place")
     if params.shape != grads.shape:
         raise ValueError(f"length mismatch: {params.shape} vs {grads.shape}")
     if state.m.size == 0:
@@ -190,10 +229,24 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
         state.v = np.zeros_like(params)
     if state.m.shape != params.shape:
         raise ValueError("optimizer state does not match parameter count")
+    if state._scratch[0].shape != params.shape:
+        state._scratch = (np.empty_like(params), np.empty_like(params))
+    a, b = state._scratch
     lr = state.effective_lr()
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=a)
+    m += a
+    v *= state.beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(m, 1.0 - state.beta1**state.t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - state.beta2**state.t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
+    return params

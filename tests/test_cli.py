@@ -151,6 +151,31 @@ class TestTrain:
         assert state.step == 30
         assert state.image_shape == (28, 28)
 
+    def test_basis_fitted_on_this_runs_data(self, tmp_path, capsys):
+        # a basis left in out_dir by a run on other data must not be reused
+        def idx(classes):
+            ds = make_blob_images(Rng(1), 96, classes=classes)
+            path = tmp_path / f"c{classes}-images-idx3"
+            write_idx_images(path, ds.examples, ds.image_shape)
+            return path
+
+        def desk_fid(data_path, out_dir):
+            cfg = write_cfg(
+                tmp_path / "b.cfg", dataset="idx", data_path=data_path, limit=96,
+                latent_dim=2, enc_hidden="8", dec_hidden="8", batch_size=16,
+                steps=4, seed=2, eval_every=4, out_dir=out_dir,
+            )
+            assert main(["train", "--config", str(cfg)]) == 0
+            return [r for r in capsys.readouterr().out.splitlines() if "desk_fid=" in r]
+
+        two, ten = idx(2), idx(10)
+        fresh = desk_fid(ten, tmp_path / "fresh")
+        desk_fid(two, tmp_path / "shared")
+        assert desk_fid(ten, tmp_path / "shared") == fresh
+        assert (tmp_path / "shared" / "fid_basis.bin").read_bytes() == (
+            tmp_path / "fresh" / "fid_basis.bin"
+        ).read_bytes()
+
     def test_divergence_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "d.cfg",
@@ -342,3 +367,12 @@ class TestLatent:
                    "--out", str(tmp_path / "z.csv")])
         assert rc == 1
         assert "checkpoint not found" in capsys.readouterr().err
+
+    def test_empty_header_is_one_error_line(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"WWAECKPT 1\n{}\n")  # printf 'WWAECKPT 1\n{}\n'
+        rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint header lacks")
+        assert not (tmp_path / "x.csv").exists()

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from wwae.data import batches, load_dataset
 from wwae.divergences import W2Variant
 from wwae.models import (
     EncoderOut,
+    Model,
     TrainingDiverged,
     build_model,
     decode,
@@ -177,6 +181,66 @@ class TestBuildModel:
         assert m.output_activation == "sigmoid"
 
 
+class TestArena:
+    def test_networks_are_views_of_theta(self):
+        cfg = ring_config(enc_hidden=(8, 4), dec_hidden=(5,))
+        m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
+        n_enc = m.enc.n_params()
+        assert m.theta.size == n_enc + m.dec.n_params()
+        assert m.theta[:n_enc].tobytes() == nn.flatten_params(m.enc).tobytes()
+        assert m.theta[n_enc:].tobytes() == nn.flatten_params(m.dec).tobytes()
+        for a in m.enc.weights + m.enc.biases + m.dec.weights + m.dec.biases:
+            assert np.shares_memory(a, m.theta)
+        m.theta[n_enc] = 5.0  # first decoder weight
+        assert m.dec.weights[0][0, 0] == 5.0
+        m.enc.biases[-1][:] = -1.0
+        assert np.all(m.theta[n_enc - 2 * cfg.latent_dim : n_enc] == -1.0)
+
+    def test_init_draws_unchanged(self):
+        cfg = ring_config(enc_hidden=(8, 4), dec_hidden=(5,))
+        m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
+        rng = Rng(1)
+        for net in (m.enc, m.dec):
+            ref = nn.init_params(rng, net.widths, net.activations)
+            assert nn.flatten_params(ref).tobytes() == nn.flatten_params(net).tobytes()
+
+    @pytest.mark.parametrize("reg", ["w2", "kl", "mmd"])
+    def test_grads_equal_on_a_copy_without_arena(self, reg):
+        cfg = ring_config(regularizer=reg, enc_hidden=(16, 8), dec_hidden=(8, 16))
+        state, ds = fresh_state(cfg)
+        m = state.model
+        n_enc = m.enc.n_params()
+        copy = Model(
+            nn.unflatten_params(m.theta[:n_enc], m.enc),
+            nn.unflatten_params(m.theta[n_enc:], m.dec),
+            m.latent_dim,
+            m.output_activation,
+        )
+        assert copy.theta is None
+        x = ds.examples[: cfg.batch_size]
+        z_prior, prior_stats, eps = draw_step_noise(cfg, Rng(4), cfg.batch_size, 2)
+        pa, ga = loss_and_grads(m, cfg, x, eps, z_prior, prior_stats)
+        pb, gb = loss_and_grads(copy, cfg, x, eps, z_prior, prior_stats)
+        assert pa == pb
+        assert ga.flat.tobytes() == gb.flat.tobytes()
+        assert ga.enc.tobytes() + ga.dec.tobytes() == ga.flat.tobytes()
+
+    def test_step_allocates_under_twice_the_parameters(self):
+        # image-sized model: 784-256-64-16 / 8-64-256-784, batch 64
+        cfg = ring_config(latent_dim=8, enc_hidden=(256, 64), dec_hidden=(64, 256), batch_size=64)
+        state = init_train_state(cfg, 784, (28, 28))
+        x = Rng(5).uniform(64, 784)
+        for _ in range(2):  # the first step allocates the Adam moments
+            train_step(state, x)
+        tracemalloc.start()
+        try:
+            train_step(state, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state.model.theta.nbytes
+
+
 class TestLossAndGrads:
     def test_lambda_zero_ignores_prior(self):
         # with lam=0 the regularizer contributes no gradient, so two very
@@ -228,7 +292,9 @@ class TestTrainStep:
             rep = train_step(state, next(stream))
             assert np.isfinite(rep.total)
             assert rep.step == k + 1
-        assert state.adam_enc.t == 3 and state.adam_dec.t == 3
+        # one optimizer steps the encoder and the decoder together
+        assert state.adam.t == 3
+        assert state.adam.m.size == state.adam.v.size == state.model.theta.size
 
     def test_effective_lr_reported(self):
         cfg = ring_config(steps=2, decay_every=1, decay_factor=0.5, lr=0.004)
@@ -339,9 +405,12 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(state.model.dec.weights, back.model.dec.weights):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(state.adam_enc.m, back.adam_enc.m)
-        np.testing.assert_array_equal(state.adam_dec.v, back.adam_dec.v)
-        assert back.adam_enc.t == state.adam_enc.t
+        n_enc = state.model.enc.n_params()
+        np.testing.assert_array_equal(state.adam.m[:n_enc], back.adam.m[:n_enc])
+        np.testing.assert_array_equal(state.adam.v[n_enc:], back.adam.v[n_enc:])
+        np.testing.assert_array_equal(state.adam.m, back.adam.m)
+        np.testing.assert_array_equal(state.adam.v, back.adam.v)
+        assert back.adam.t == state.adam.t
         assert back.rng.state() == state.rng.state()
         assert back.data_rng.state() == state.data_rng.state()
 
@@ -363,6 +432,46 @@ class TestCheckpoint:
         rest = [train_step(resumed, next(stream2)).total for _ in range(10)]
 
         assert first + rest == uninterrupted()
+
+    @pytest.mark.parametrize("steps", [0, 12])
+    def test_save_load_save_is_byte_identical(self, tmp_path, steps):
+        cfg = ring_config(steps=steps)
+        state, ds = fresh_state(cfg)
+        stream = batches(ds, cfg.batch_size, state.data_rng)
+        for _ in range(steps):
+            train_step(state, next(stream))
+        save_checkpoint(tmp_path / "a.ckpt", state)
+        save_checkpoint(tmp_path / "b.ckpt", load_checkpoint(tmp_path / "a.ckpt"))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @staticmethod
+    def checkpoint_with_header(path, edit):
+        """A fresh ring checkpoint whose JSON header `edit` has changed."""
+        state, _ = fresh_state(ring_config())
+        save_checkpoint(path, state)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        manifest = json.loads(header)
+        edit(manifest)
+        path.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        return path
+
+    @pytest.mark.parametrize("key", ["blocks", "enc", "dec", "config"])
+    def test_header_without_key_rejected(self, tmp_path, key):
+        p = self.checkpoint_with_header(tmp_path / "model.ckpt", lambda m: m.pop(key))
+        with pytest.raises(ValueError, match=f"header lacks {key}"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("blocks", [
+        [["enc_params", 1], ["dec_params", 1]],
+        [["enc_params", 1000], ["dec_params", 0], ["enc_m", 0], ["enc_v", 0],
+         ["dec_m", 0], ["dec_v", 0]],
+    ])
+    def test_block_sizes_must_match_widths(self, tmp_path, blocks):
+        p = self.checkpoint_with_header(
+            tmp_path / "model.ckpt", lambda m: m.update(blocks=blocks)
+        )
+        with pytest.raises(ValueError, match="do not match networks"):
+            load_checkpoint(p)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

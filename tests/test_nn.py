@@ -11,6 +11,7 @@ from wwae.nn import (
     init_params,
     mlp_backward,
     mlp_forward,
+    param_views,
     unflatten_params,
 )
 from wwae.numerics import Rng
@@ -51,6 +52,19 @@ class TestForward:
 
 
 class TestBackward:
+    def test_writes_into_given_vector(self):
+        p = init_params(Rng(8), [3, 4, 2], ["relu", "identity"])
+        x = Rng(9).normal(5, 3)
+        gy = Rng(10).normal(5, 2)
+        _, tape = mlp_forward(p, x)
+        g, gx = mlp_backward(p, tape, gy)
+        out = np.full(p.n_params() + 2, np.nan)
+        g2, none = mlp_backward(p, tape, gy, out=out[1:-1], input_grad=False)
+        assert none is None and gx.shape == x.shape
+        assert out[1:-1].tobytes() == flatten_params(g).tobytes()
+        assert np.isnan(out[0]) and np.isnan(out[-1])
+        assert all(np.shares_memory(w, out) for w in g2.weights + g2.biases)
+
     def test_zero_grad(self):
         p = identity_layer(3)
         y, tape = mlp_forward(p, np.ones((2, 3)))
@@ -116,6 +130,18 @@ def test_flatten_unflatten_bijection(widths, seed):
         np.testing.assert_array_equal(a, b)
 
 
+def test_unflatten_copies_and_views_alias():
+    p = init_params(Rng(2), [3, 4, 2], ["relu", "identity"])
+    flat = flatten_params(p)
+    q = unflatten_params(flat, p)
+    assert not any(np.shares_memory(w, flat) for w in q.weights + q.biases)
+    views = param_views(flat, p.widths, p.activations)
+    views.weights[1][0, 0] = 7.0
+    assert flat[4 * 3 + 4] == 7.0
+    with pytest.raises(ValueError):
+        param_views(flat[:-1], p.widths, p.activations)
+
+
 def test_unflatten_wrong_size():
     p = identity_layer(2)
     with pytest.raises(ValueError):
@@ -136,8 +162,41 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         s = AdamState()
         params = np.array([1.0, -2.0])
-        out = adam_step(s, params, np.zeros(2))
+        out = adam_step(s, params.copy(), np.zeros(2))
         np.testing.assert_array_equal(out, params)
+
+    def test_updates_in_place(self):
+        params = np.zeros(3)
+        assert adam_step(AdamState(), params, np.ones(3)) is params
+        assert np.all(params < 0.0)
+        with pytest.raises(ValueError):
+            adam_step(AdamState(), [0.0, 0.0], np.ones(2))
+
+    def test_matches_allocating_formula_bit_for_bit(self):
+        # the textbook update with temporaries, as the optimizer read before
+        # it updated in place; 50 steps cross two decay boundaries
+        kw = dict(lr=0.01, beta1=0.5, beta2=0.9, decay_every=20, decay_factor=0.5)
+        s = AdamState(**kw)
+        ref = AdamState(**kw)
+        rng = Rng(21)
+        p = rng.normal(1, 1000).ravel()
+        want = p.copy()
+        m = v = np.zeros_like(p)
+        lrs = set()
+        for _ in range(50):
+            g = rng.normal(1, 1000).ravel() * np.exp(rng.normal(1, 1000).ravel())
+            lr = ref.effective_lr()
+            lrs.add(lr)
+            ref.t += 1
+            m = ref.beta1 * m + (1.0 - ref.beta1) * g
+            v = ref.beta2 * v + (1.0 - ref.beta2) * g**2
+            m_hat = m / (1.0 - ref.beta1**ref.t)
+            v_hat = v / (1.0 - ref.beta2**ref.t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + ref.eps)
+            adam_step(s, p, g)
+        assert len(lrs) == 3 and s.t == 50
+        assert p.tobytes() == want.tobytes()
+        assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
 
     def test_first_step_hand_value(self):
         s = AdamState(lr=0.1, beta1=0.9, beta2=0.999)
