@@ -82,10 +82,6 @@ def _record_line(report: models.StepReport) -> str:
     )
 
 
-def _is_image_state(state: TrainState) -> bool:
-    return state.image_shape is not None
-
-
 class _FidEvaluator:
     """Desk-FID against a fixed reference slice in a fixed feature space."""
 
@@ -149,7 +145,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         except TrainingDiverged as exc:
             save_checkpoint(out_dir / (CHECKPOINT_NAME + ".diverged"), state)
             manifest.final.append(f"diverged_at_step={exc.step}")
-            (out_dir / MANIFEST_NAME).write_text(manifest.text())
+            with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
+                fh.write(manifest.text())
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
@@ -188,7 +185,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"fid_final={fid_final!r} fid_best={fid_best!r} "
             f"fid_best_step={fid_best_step}"
         )
-    (out_dir / MANIFEST_NAME).write_text(manifest.text())
+    with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
+        fh.write(manifest.text())
     print(
         f"done steps={state.step} out={out_dir} wall={time.monotonic() - started:.1f}s"
     )

@@ -73,6 +73,18 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.limit <= 0:
             raise ValueError(f"limit must be positive, got {self.limit}")
+        # Written as not-in-range so that NaN is rejected too.
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if not self.decay_factor > 0:
+            raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not self.mmd_scale > 0:
+            raise ValueError(f"mmd_scale must be > 0, got {self.mmd_scale}")
         if self.dataset == "idx" and not self.data_path:
             raise ValueError("dataset=idx requires data_path")
         return self
@@ -145,6 +157,8 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a mapping, got {type(d).__name__}")
     values = {}
     for f in dataclasses.fields(TrainConfig):
         key = _KEY_OF_FIELD.get(f.name, f.name)

@@ -50,10 +50,10 @@ class Dataset:
         return self.examples.shape[1]
 
 
-def _read_exact(path: Path, expected: int, payload: bytes) -> None:
-    if len(payload) < expected:
+def _read_exact(path: Path, expected: int, payload: int) -> None:
+    if payload < expected:
         raise ValueError(
-            f"truncated IDX file {path}: expected {expected} data bytes, got {len(payload)}"
+            f"truncated IDX file {path}: expected {expected} data bytes, got {payload}"
         )
 
 
@@ -78,13 +78,14 @@ def load_idx(
             f"not IDX images: {images_path} has magic 0x{magic:08x}, "
             f"expected 0x{IDX_IMAGES_MAGIC:08x}"
         )
-    _read_exact(images_path, n * rows * cols, raw[16:])
+    _read_exact(images_path, n * rows * cols, len(raw) - 16)
     if limit is not None:
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         n = min(n, limit)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
-    examples = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
+    # One pass; the same bits as pixels.astype(np.float64) / 255.0.
+    examples = np.divide(pixels.reshape(n, rows * cols), 255.0, dtype=np.float64)
 
     labels = None
     if labels_path is not None:
@@ -98,7 +99,7 @@ def load_idx(
                 f"not IDX labels: {labels_path} has magic 0x{lmagic:08x}, "
                 f"expected 0x{IDX_LABELS_MAGIC:08x}"
             )
-        _read_exact(labels_path, ln, lraw[8:])
+        _read_exact(labels_path, ln, len(lraw) - 8)
         if ln < n:
             raise ValueError(f"label file has {ln} entries for {n} images")
         labels = np.frombuffer(lraw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
@@ -135,10 +136,8 @@ def make_ring(
     """Equal-weight Gaussian blobs on a circle; label = mode index."""
     if n < modes:
         raise ValueError(f"need at least {modes} points, got {n}")
-    angles = 2.0 * np.pi * np.arange(modes) / modes
-    centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     labels = rng.integers(0, modes, n)
-    points = centers[labels] + sigma * rng.normal(n, 2)
+    points = ring_centers(modes, radius)[labels] + sigma * rng.normal(n, 2)
     return Dataset(points, labels.astype(np.int64), f"ring{modes}", None)
 
 

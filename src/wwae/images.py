@@ -1,14 +1,18 @@
-"""Binary PGM/PPM export, sample-grid tiling, and small CSV writers.
+"""Binary PGM export, sample-grid tiling, CSV writers and atomic file
+replacement.
 
-Uncompressed P5/P6 keeps image artifacts byte-exact under fixed seeds, so
+Uncompressed P5 keeps image artifacts byte-exact under fixed seeds, so
 golden-file tests can compare whole files.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -30,45 +34,6 @@ def write_pgm(path: str | Path, img: Matrix) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
-
-
-def write_ppm(path: str | Path, img: Matrix) -> None:
-    """Binary PPM (P6) from an h x w x 3 array in [0,1]."""
-    data = to_bytes_image(img)
-    if data.ndim != 3 or data.shape[2] != 3:
-        raise ValueError(f"PPM needs h x w x 3, got shape {data.shape}")
-    h, w = data.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Binary PGM reader (test helper); returns uint8 h x w."""
-    raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"PGM truncated: expected {w * h} pixels, got {pixels.size}")
-    return pixels.reshape(h, w)
 
 
 def tile_grid(
@@ -114,32 +79,56 @@ def pair_grid(
     return tile_grid(interleaved, image_shape, cols=2 * base)
 
 
+def _write_table(
+    path: str | Path, header: str, values: Matrix, labels: Optional[np.ndarray]
+) -> None:
+    """`header`, then one row per line: each value as `%.17g` (the format
+    `f"{v:.17g}"` uses), comma-separated, then the integer label if given.
+
+    The whole table is one `%` format, not one f-string per value.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape
+    cells = ["%.17g"] * d
+    rows = values.tolist()
+    if labels is not None:
+        cells.append("%d")
+        for row, label in zip(rows, np.asarray(labels).tolist()):
+            row.append(label)
+    table = (",".join(cells) + "\n") * n
+    with open(path, "w") as fh:
+        fh.write(header + table % tuple(itertools.chain.from_iterable(rows)))
+
+
 def write_points_csv(
     path: str | Path, points: Matrix, labels: Optional[np.ndarray] = None
 ) -> None:
     """One point per line, comma-separated, full double precision."""
-    points = np.asarray(points, dtype=np.float64)
-    with open(path, "w") as fh:
-        for i, row in enumerate(points):
-            cells = [f"{v:.17g}" for v in row]
-            if labels is not None:
-                cells.append(str(int(labels[i])))
-            fh.write(",".join(cells) + "\n")
+    _write_table(path, "", points, labels)
 
 
 def write_latent_csv(
     path: str | Path, codes: Matrix, labels: Optional[np.ndarray]
 ) -> None:
     """Latent dump with a named header: z_1..z_l and label when present."""
-    codes = np.asarray(codes, dtype=np.float64)
-    ell = codes.shape[1]
+    ell = np.shape(codes)[1]
     header = ",".join(f"z_{j + 1}" for j in range(ell))
     if labels is not None:
         header += ",label"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(codes):
-            cells = [f"{v:.17g}" for v in row]
-            if labels is not None:
-                cells.append(str(int(labels[i])))
-            fh.write(",".join(cells) + "\n")
+    _write_table(path, header + "\n", codes, labels)
+
+
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside `path` for writing; when the block ends
+    it replaces `path`. If the block raises, the temporary file is removed
+    and `path` keeps its previous content."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -19,6 +19,7 @@ import numpy as np
 from . import divergences, spectral
 from .data import Dataset
 from .divergences import W2Variant
+from .images import atomic_open
 from .models import encode, reparameterize
 from .nn import MlpParams
 from .numerics import Matrix, Rng
@@ -102,7 +103,7 @@ def save_basis(path: str | Path, basis: Matrix) -> None:
         + json.dumps({"rows": basis.shape[0], "cols": basis.shape[1]})
         + "\n"
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(basis, dtype="<f8").tobytes())
 
@@ -123,13 +124,6 @@ def load_basis(path: str | Path) -> Matrix:
             f"basis file truncated: expected {rows * cols * 8} bytes, got {len(raw)}"
         )
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
-
-
-def write_features_csv(path: str | Path, features: FeatureSet) -> None:
-    """One feature vector per line, comma separated, no header."""
-    with open(path, "w") as fh:
-        for row in np.asarray(features.features, dtype=np.float64):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_features_csv(path: str | Path) -> FeatureSet:

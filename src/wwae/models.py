@@ -167,7 +167,11 @@ def wae_mmd_loss(
 def decode(model: Model, z: Matrix) -> Matrix:
     y, _ = nn.mlp_forward(model.dec, z)
     if model.output_activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-y))
+        # 1 / (1 + exp(-y)), operation for operation, in place
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y += 1.0
+        np.divide(1.0, y, out=y)
     return y
 
 
@@ -370,7 +374,7 @@ def generate(model: Model, rng: Rng, count: int) -> Matrix:
     z = rng.normal(count, model.latent_dim)
     x = decode(model, z)
     if model.output_activation == "sigmoid":
-        x = np.clip(x, 0.0, 1.0)
+        np.clip(x, 0.0, 1.0, out=x)
     return x
 
 

@@ -120,7 +120,8 @@ def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
     a = x
     for w, b, act in zip(params.weights, params.biases, params.activations):
         inputs.append(a)
-        s = a @ w.T + b
+        s = a @ w.T
+        s += b
         preacts.append(s)
         a = _apply_act(s, act)
     return a, Tape(inputs, preacts)

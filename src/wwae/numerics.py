@@ -16,22 +16,6 @@ import numpy as np
 Matrix = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D matrices, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def assert_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"non-finite values in {what}")
-
-
 @dataclass
 class Rng:
     """Deterministic random stream with pure, counter-based splitting.
@@ -112,8 +96,3 @@ def _unjsonify(obj):
             return np.array(obj["__ndarray__"], dtype=obj["dtype"])
         return {k: _unjsonify(v) for k, v in obj.items()}
     return obj
-
-
-def gauss_sample(rng: Rng, rows: int, cols: int) -> Matrix:
-    """Standard-normal matrix drawn from the given stream."""
-    return rng.normal(rows, cols)

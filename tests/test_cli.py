@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import read_pgm
 from wwae import gradcheck, metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.cli import main, parse_manifest
 from wwae.data import make_blob_images, write_idx_images, write_idx_labels
-from wwae.images import read_pgm
-from wwae.metrics import FeatureSet, write_features_csv
+from wwae.images import write_points_csv
 from wwae.numerics import Rng
 
 # Final log record of the 500-step reference run below; regressions in any
@@ -96,6 +98,13 @@ class TestTrain:
         cfg.write_text("lamda = 1\n")
         assert main(["train", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_out_of_range_value_is_one_error_line(self, tmp_path, capsys):
+        values = {**RING_CFG, "lr": "-1", "out_dir": tmp_path / "out"}
+        cfg = write_cfg(tmp_path / "bad.cfg", **values)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: lr must be > 0, got -1.0"]
+        assert not (tmp_path / "out").exists()
 
     def test_zero_steps_writes_initial_checkpoint(self, tmp_path):
         cfg = write_cfg(tmp_path / "z.cfg", **RING_CFG, out_dir=tmp_path / "a")
@@ -278,26 +287,26 @@ class TestFid:
 
     def test_same_file_is_zero(self, tmp_path, capsys):
         p = tmp_path / "f.csv"
-        write_features_csv(p, FeatureSet(Rng(2).normal(30, 3)))
+        write_points_csv(p, Rng(2).normal(30, 3))
         assert self.fid_of(capsys, p, p) == 0.0
 
     def test_symmetric_across_argument_order(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         a, b = self.four_point_sets()
-        write_features_csv(pa, FeatureSet(a))
-        write_features_csv(pb, FeatureSet(b))
+        write_points_csv(pa, a)
+        write_points_csv(pb, b)
         assert self.fid_of(capsys, pa, pb) == self.fid_of(capsys, pb, pa)
 
     def test_hand_value(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         a, b = self.four_point_sets()
-        write_features_csv(pa, FeatureSet(a))
-        write_features_csv(pb, FeatureSet(b))
+        write_points_csv(pa, a)
+        write_points_csv(pb, b)
         assert abs(self.fid_of(capsys, pa, pb) - 4.0) < 1e-9
 
     def test_single_feature_flag_rejected(self, tmp_path, capsys):
         p = tmp_path / "a.csv"
-        write_features_csv(p, FeatureSet(np.zeros((3, 2))))
+        write_points_csv(p, np.zeros((3, 2)))
         assert main(["fid", "--features-a", str(p)]) == 1
         assert "needs both" in capsys.readouterr().err
 
@@ -367,6 +376,27 @@ class TestLatent:
                    "--out", str(tmp_path / "z.csv")])
         assert rc == 1
         assert "checkpoint not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"enc": 5},
+            {"enc": {"widths": [2, "8", 4], "activations": ["relu", "identity"]}},
+            {"adam_enc": 5, "adam_dec": 5},
+            {"image_shape": 5},
+        ],
+        ids=["enc", "widths", "adam", "image_shape"],
+    )
+    def test_wrong_type_in_header_is_one_error_line(self, ring_run, tmp_path, capsys, edit):
+        magic, header, payload = ring_run["ckpt"].read_bytes().split(b"\n", 2)
+        manifest = {**json.loads(header), **edit}
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_header_is_one_error_line(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"

@@ -91,6 +91,32 @@ def test_validation_rejects(bad):
         TrainConfig(**bad).validate()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lr = -1",
+        "lr = 0",
+        "lr = nan",
+        "beta1 = 1.5",
+        "beta1 = 1",
+        "beta2 = -0.1",
+        "decay_factor = -2",
+        "decay_factor = 0",
+        "eval_every = -3",
+        "mmd_scale = 0",
+    ],
+)
+def test_out_of_range_value_names_key(line):
+    key = line.split(" ")[0]
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_config_text(line)
+
+
+def test_boundary_values_accepted():
+    cfg = parse_config_text("beta1 = 0\nbeta2 = 0.999\neval_every = 0\nlr = 1e-9")
+    assert (cfg.beta1, cfg.beta2, cfg.eval_every, cfg.lr) == (0.0, 0.999, 0, 1e-9)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="nope.cfg"):
         load_config(tmp_path / "nope.cfg")

@@ -47,6 +47,13 @@ class TestLoadIdx:
             np.array([[0, 255, 51, 102], [255, 0, 204, 153]]) / 255.0,
         )
 
+    def test_scaling_matches_two_pass_form_bit_for_bit(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8).reshape(64, 2, 2)
+        p = tmp_path / "all-values-idx3"
+        write_raw_idx_images(p, list(pixels))
+        want = pixels.reshape(64, 4).astype(np.float64) / 255.0
+        assert load_idx(p).examples.tobytes() == want.tobytes()
+
     def test_labels_aligned(self, tmp_path):
         ip, lp = tmp_path / "i", tmp_path / "l"
         write_idx_images(ip, np.linspace(0, 1, 3 * 4).reshape(3, 4), (2, 2))

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import read_pgm
 from wwae.images import (
+    atomic_open,
     pair_grid,
-    read_pgm,
     tile_grid,
     to_bytes_image,
     write_latent_csv,
     write_pgm,
     write_points_csv,
-    write_ppm,
 )
 from wwae.numerics import Rng
 
@@ -56,13 +56,6 @@ class TestPgm:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(p)
-
-    def test_ppm_header(self, tmp_path):
-        p = tmp_path / "x.ppm"
-        write_ppm(p, np.zeros((2, 2, 3)))
-        assert p.read_bytes().startswith(b"P6\n2 2\n255\n")
-        with pytest.raises(ValueError, match="h x w x 3"):
-            write_ppm(p, np.zeros((2, 2)))
 
 
 class TestTileGrid:
@@ -131,3 +124,66 @@ class TestCsvWriters:
         p = tmp_path / "z.csv"
         write_latent_csv(p, np.array([[0.25, 0.75]]), None)
         assert p.read_text().splitlines()[0] == "z_1,z_2"
+
+    # Signed zero, NaN, infinities, the smallest subnormal and the largest
+    # double, beside ordinary values of many magnitudes.
+    SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, np.finfo(np.float64).max]
+
+    def special_table(self):
+        values = np.array(self.SPECIAL + list(Rng(8).normal(1, 7).ravel() * 1e5))
+        return values.reshape(2, 7)
+
+    @staticmethod
+    def fstring_rows(values, labels):
+        """The per-value f-string rows the writers produced before."""
+        out = []
+        for i, row in enumerate(values):
+            cells = [f"{v:.17g}" for v in row]
+            if labels is not None:
+                cells.append(str(int(labels[i])))
+            out.append(",".join(cells) + "\n")
+        return "".join(out)
+
+    @pytest.mark.parametrize("labels", [None, np.array([4, 9])])
+    def test_points_match_per_value_fstrings(self, tmp_path, labels):
+        values = self.special_table()
+        p = tmp_path / "pts.csv"
+        write_points_csv(p, values, labels)
+        assert p.read_bytes() == self.fstring_rows(values, labels).encode()
+
+    @pytest.mark.parametrize("labels", [None, np.array([4, 9])])
+    def test_latent_matches_per_value_fstrings(self, tmp_path, labels):
+        values = self.special_table()
+        p = tmp_path / "z.csv"
+        write_latent_csv(p, values, labels)
+        header = ",".join(f"z_{j + 1}" for j in range(7))
+        header += ",label\n" if labels is not None else "\n"
+        assert p.read_bytes() == (header + self.fstring_rows(values, labels)).encode()
+
+    def test_random_magnitudes_match_per_value_fstrings(self, tmp_path):
+        rng = Rng(9)
+        values = rng.normal(500, 4) * 10.0 ** rng.integers(-300, 300, 2000).reshape(500, 4)
+        labels = rng.integers(0, 10, 500)
+        p = tmp_path / "z.csv"
+        write_points_csv(p, values, labels)
+        assert p.read_text() == self.fstring_rows(values, labels)
+
+
+class TestAtomicOpen:
+    def test_replaces_the_file(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("old\n")
+        with atomic_open(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_error_partway_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "f.bin"
+        p.write_bytes(b"old")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_open(p, "wb") as fh:
+                fh.write(b"half of the new content")
+                raise OSError("disk full")
+        assert p.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [p]

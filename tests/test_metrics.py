@@ -3,6 +3,7 @@ import pytest
 
 from wwae import nn
 from wwae.data import Dataset, make_ring, ring_centers
+from wwae.images import write_points_csv
 from wwae.metrics import (
     FeatureSet,
     fid,
@@ -13,7 +14,6 @@ from wwae.metrics import (
     pixel_pca_features,
     read_features_csv,
     save_basis,
-    write_features_csv,
 )
 from wwae.numerics import Rng
 from wwae.spectral import GaussStats
@@ -103,6 +103,22 @@ class TestBasisFile:
         save_basis(p, basis)
         np.testing.assert_array_equal(load_basis(p), basis)
 
+    def test_failed_save_keeps_previous_file(self, rng, tmp_path, monkeypatch):
+        _, basis = pixel_pca_features(rng.normal(30, 9), None, k=4)
+        p = tmp_path / "real.basis"
+        save_basis(p, basis)
+        before = p.read_bytes()
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        # fails after the header is written
+        monkeypatch.setattr(np, "ascontiguousarray", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            save_basis(p, 2.0 * basis)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk"
         p.write_bytes(b"something else\n{}\n")
@@ -126,13 +142,13 @@ class TestFeaturesCsv:
     def test_roundtrip_exact(self, rng, tmp_path):
         f = FeatureSet(rng.normal(7, 3))
         p = tmp_path / "f.csv"
-        write_features_csv(p, f)
+        write_points_csv(p, f.features)
         back = read_features_csv(p)
         np.testing.assert_array_equal(back.features, f.features)
 
     def test_no_header(self, rng, tmp_path):
         p = tmp_path / "f.csv"
-        write_features_csv(p, FeatureSet(np.array([[1.5, -2.0]])))
+        write_points_csv(p, np.array([[1.5, -2.0]]))
         assert p.read_text() == "1.5,-2\n"
 
     def test_missing(self, tmp_path):

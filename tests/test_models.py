@@ -358,6 +358,17 @@ class TestGenerateReconstruct:
         x = generate(m, Rng(3), 11)
         assert x.min() >= 0.0 and x.max() <= 1.0
 
+    def test_sigmoid_and_clamp_match_textbook_bits(self):
+        # decode and generate work in place; they must give the bits of the
+        # expression written out with temporaries.
+        m = build_model(ring_config(latent_dim=3), 9, Rng(2), image_data=True)
+        m.dec.biases[-1][:] = np.linspace(-40.0, 40.0, 9)  # some outputs saturate
+        z = Rng(4).normal(50, 3)
+        y, _ = nn.mlp_forward(m.dec, z)
+        want = np.clip(1 / (1 + np.exp(-y)), 0, 1)
+        assert decode(m, z).tobytes() == want.tobytes()
+        assert generate(m, Rng(4), 50).tobytes() == want.tobytes()
+
     def test_reconstruct_uses_posterior_mean(self):
         cfg = ring_config()
         state, ds = fresh_state(cfg)
@@ -472,6 +483,75 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="do not match networks"):
             load_checkpoint(p)
+
+    WRONG_TYPES = {
+        "enc": lambda m: m.update(enc=5),
+        "widths-str": lambda m: m["enc"].update(widths="2,16,4"),
+        "widths-float": lambda m: m["dec"].update(widths=[2, 16.0, 2]),
+        "widths-zero": lambda m: m["dec"].update(widths=[2, 0, 2]),
+        "widths-short": lambda m: m["enc"].update(widths=[2]),
+        "activations": lambda m: m["enc"].update(activations="relu"),
+        "adam": lambda m: m.update(adam_enc=5, adam_dec=5),
+        "image_shape": lambda m: m.update(image_shape=5),
+        "image_shape-short": lambda m: m.update(image_shape=[28]),
+        "config": lambda m: m.update(config=[]),
+        "config-lr": lambda m: m["config"].update(lr="fast"),
+        "step": lambda m: m.update(step=[1]),
+        "rng": lambda m: m.update(rng=5),
+    }
+
+    @pytest.mark.parametrize("edit", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+    def test_header_value_of_wrong_type_rejected(self, tmp_path, edit):
+        p = self.checkpoint_with_header(tmp_path / "model.ckpt", edit)
+        with pytest.raises(ValueError, match="checkpoint|config"):
+            load_checkpoint(p)
+
+    @staticmethod
+    def trained_checkpoint(path):
+        """A ring checkpoint after three steps, so all six blocks are filled,
+        and the size of each block in bytes."""
+        cfg = ring_config(steps=3)
+        state, ds = fresh_state(cfg)
+        stream = batches(ds, cfg.batch_size, state.data_rng)
+        for _ in range(3):
+            train_step(state, next(stream))
+        save_checkpoint(path, state)
+        n_enc, n_dec = state.model.enc.n_params(), state.model.dec.n_params()
+        return [8 * n for n in (n_enc, n_dec, n_enc, n_enc, n_dec, n_dec)]
+
+    @pytest.mark.parametrize(
+        "block", ["enc_params", "dec_params", "enc_m", "enc_v", "dec_m", "dec_v"]
+    )
+    def test_cut_inside_each_block_rejected(self, tmp_path, block):
+        p = tmp_path / "model.ckpt"
+        sizes = self.trained_checkpoint(p)
+        raw = p.read_bytes()
+        i = ["enc_params", "dec_params", "enc_m", "enc_v", "dec_m", "dec_v"].index(block)
+        start = len(raw) - sum(sizes) + sum(sizes[:i])
+        p.write_bytes(raw[: start + sizes[i] // 2 + 3])
+        with pytest.raises(ValueError, match=f"truncated: block '{block}' needs {sizes[i]} bytes"):
+            load_checkpoint(p)
+
+    def test_extra_byte_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        self.trained_checkpoint(p)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="has 1 trailing bytes"):
+            load_checkpoint(p)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        self.trained_checkpoint(p)
+        before = p.read_bytes()
+        state, _ = fresh_state(ring_config())
+        train_step(state, Rng(1).normal(32, 2))
+        # Moments that cannot be written as float64 make the save fail after
+        # the header and both parameter blocks are written.
+        state.adam.m = np.full(state.model.theta.size, "x")
+        with pytest.raises(ValueError):
+            save_checkpoint(p, state)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

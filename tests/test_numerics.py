@@ -1,50 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from wwae.numerics import Matrix, Rng, assert_finite, gauss_sample, matmul
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    np.testing.assert_array_equal(matmul(a, b), [[3.0], [7.0]])
-
-
-def test_matmul_identity_and_zero():
-    a = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-    np.testing.assert_array_equal(matmul(a, np.zeros((3, 4))), np.zeros((2, 4)))
-
-
-def test_matmul_dim_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_matmul_associative(seed):
-    rng = Rng(seed)
-    a, b, c = rng.normal(8, 8), rng.normal(8, 8), rng.normal(8, 8)
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    denom = max(np.linalg.norm(left), 1.0)
-    assert np.linalg.norm(left - right) / denom < 1e-12
+from wwae.numerics import Rng
 
 
 def test_transpose_involution(rng):
     a = rng.normal(5, 3)
     np.testing.assert_array_equal(a.T.T, a)
-
-
-def test_assert_finite():
-    assert_finite(np.ones((2, 2)), "ok")
-    with pytest.raises(FloatingPointError):
-        assert_finite(np.array([[1.0, np.inf]]), "bad")
-    with pytest.raises(FloatingPointError):
-        assert_finite(np.array([np.nan]), "bad")
 
 
 class TestRng:
@@ -97,18 +59,12 @@ class TestRng:
         u = rng.uniform(1000, 1)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
+    def test_normal_moments(self):
+        n = 100_000
+        x = Rng(2).normal(n, 2)
+        assert np.all(np.abs(x.mean(axis=0)) < 4.0 / np.sqrt(n))
+        assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
 
-def test_gauss_sample_determinism():
-    np.testing.assert_array_equal(gauss_sample(Rng(1), 2, 2), gauss_sample(Rng(1), 2, 2))
-
-
-def test_gauss_sample_moments():
-    n = 100_000
-    x = gauss_sample(Rng(2), n, 2)
-    assert np.all(np.abs(x.mean(axis=0)) < 4.0 / np.sqrt(n))
-    assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
-
-
-def test_gauss_sample_bad_shape():
-    with pytest.raises(ValueError):
-        gauss_sample(Rng(1), 0, 3)
+    def test_normal_bad_shape(self):
+        with pytest.raises(ValueError):
+            Rng(1).normal(0, 3)
