@@ -7,7 +7,7 @@ evaluation on fixed PCA-of-pixels features.
 """
 
 from .config import TrainConfig, load_config
-from .divergences import W2Variant, gaussian_w2, kl_diag_gauss, mmd_imq
+from .divergences import W2Variant, gaussian_w2, mmd_imq
 from .numerics import Rng
 from .spectral import GaussStats, batch_stats, sqrtm_psd
 
@@ -18,7 +18,6 @@ __all__ = [
     "load_config",
     "W2Variant",
     "gaussian_w2",
-    "kl_diag_gauss",
     "mmd_imq",
     "Rng",
     "GaussStats",

@@ -59,22 +59,6 @@ class RunManifest:
         return "\n".join(lines) + "\n"
 
 
-def parse_manifest(text: str) -> RunManifest:
-    manifest = RunManifest()
-    section = None
-    for line in text.splitlines():
-        if line in ("# config", "# log", "# final"):
-            section = line[2:]
-            continue
-        if section == "config":
-            manifest.config.append(line)
-        elif section == "log":
-            manifest.records.append(line)
-        elif section == "final":
-            manifest.final.append(line)
-    return manifest
-
-
 def _record_line(report: models.StepReport) -> str:
     return (
         f"step={report.step} total={report.total!r} recon={report.recon!r} "

@@ -69,6 +69,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        for key in ("enc_hidden", "dec_hidden"):
+            if any(width < 1 for width in getattr(self, key)):
+                raise ValueError(
+                    f"{key} must be all >= 1, got {_format_value(getattr(self, key))}"
+                )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.limit <= 0:

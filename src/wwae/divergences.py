@@ -1,6 +1,5 @@
 """Distribution discrepancies: closed-form Gaussian W2 (two cross-term
-variants) with analytic gradients, diagonal-Gaussian KL, IMQ-kernel MMD,
-and an exact 1-D empirical W2 used as a test oracle.
+variants) with its analytic gradient, and IMQ-kernel MMD with its gradient.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -19,9 +18,7 @@ import enum
 import numpy as np
 
 from .numerics import Matrix
-from .spectral import GaussStats, grad_trace_sqrtm, sqrtm_psd
-
-LOGVAR_MIN, LOGVAR_MAX = -30.0, 30.0
+from .spectral import GaussStats, eigh_psd, grad_trace_sqrtm, sqrtm_from_eigh, sqrtm_psd
 
 
 class W2Variant(enum.Enum):
@@ -29,63 +26,43 @@ class W2Variant(enum.Enum):
     BURES = "bures"
 
 
-def _check_dims(p: GaussStats, q: GaussStats) -> int:
+def gaussian_w2_value_and_grad(
+    p: GaussStats, q: GaussStats, variant: W2Variant
+) -> tuple[float, np.ndarray, Matrix]:
+    """Squared Wasserstein-2 distance between Gaussian statistics, and its
+    gradients with respect to q's mean and covariance.
+
+    ||mu_p - mu_q||^2 + Tr(Sp) + Tr(Sq) - 2 * cross(Sp, Sq). Tiny negative
+    values from rounding are clamped to 0, and identical statistics give an
+    exact 0. Only the q side carries gradients: in training, p holds the
+    prior statistics, which do not depend on the model parameters. Value and
+    gradient share one eigendecomposition of Sq (root_product) or of the
+    sandwich Sp^{1/2} Sq Sp^{1/2} (bures), besides the one of Sp.
+    """
     if p.dim != q.dim or p.cov.shape != q.cov.shape:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return p.dim
-
-
-def _cross_term(p_cov: Matrix, q_cov: Matrix, variant: W2Variant) -> float:
-    p_root = sqrtm_psd(p_cov)
+    eye = np.eye(p.dim)
+    p_root = sqrtm_psd(p.cov)
     if variant is W2Variant.ROOT_PRODUCT:
-        return float(np.trace(p_root @ sqrtm_psd(q_cov)))
-    sandwich = p_root @ q_cov @ p_root
-    return float(np.trace(sqrtm_psd(sandwich)))
+        dec = eigh_psd(q.cov)
+        cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))
+        grad_cov = eye - grad_trace_sqrtm(dec, 2.0 * p_root)
+    else:
+        dec = eigh_psd(p_root @ q.cov @ p_root)
+        cross = float(np.trace(sqrtm_from_eigh(dec)))
+        grad_cov = eye - 2.0 * p_root @ grad_trace_sqrtm(dec, eye) @ p_root
+    if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov):
+        value = 0.0  # no rounding residue
+    else:
+        value = float(np.sum((p.mean - q.mean) ** 2))
+        value += float(np.trace(p.cov) + np.trace(q.cov))
+        value = max(value - 2.0 * cross, 0.0)
+    return value, 2.0 * (q.mean - p.mean), grad_cov
 
 
 def gaussian_w2(p: GaussStats, q: GaussStats, variant: W2Variant) -> float:
-    """Squared Wasserstein-2 distance between Gaussian statistics.
-
-    ||mu_p - mu_q||^2 + Tr(Sp) + Tr(Sq) - 2 * cross(Sp, Sq). Tiny negative
-    results from rounding are clamped to 0.
-    """
-    _check_dims(p, q)
-    if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov):
-        return 0.0  # identical stats: exact zero, no rounding residue
-    mean_term = float(np.sum((p.mean - q.mean) ** 2))
-    val = mean_term + float(np.trace(p.cov) + np.trace(q.cov))
-    val -= 2.0 * _cross_term(p.cov, q.cov, variant)
-    return max(val, 0.0)
-
-
-def gaussian_w2_grad(
-    p: GaussStats, q: GaussStats, variant: W2Variant
-) -> tuple[np.ndarray, Matrix]:
-    """Gradients of gaussian_w2 with respect to q's mean and covariance.
-
-    Only the q side carries gradients: in training, p holds the prior batch
-    statistics, which do not depend on the model parameters.
-    """
-    d = _check_dims(p, q)
-    grad_mean = 2.0 * (q.mean - p.mean)
-    eye = np.eye(d)
-    p_root = sqrtm_psd(p.cov)
-    if variant is W2Variant.ROOT_PRODUCT:
-        grad_cov = eye - grad_trace_sqrtm(q.cov, 2.0 * p_root)
-    else:
-        sandwich = p_root @ q.cov @ p_root
-        inner = grad_trace_sqrtm(sandwich, eye)
-        grad_cov = eye - 2.0 * p_root @ inner @ p_root
-    return grad_mean, grad_cov
-
-
-def kl_diag_gauss(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """KL divergence of a diagonal Gaussian to the standard normal."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.clip(np.asarray(logvar, dtype=np.float64), LOGVAR_MIN, LOGVAR_MAX)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"shape mismatch: {mu.shape} vs {logvar.shape}")
-    return float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0))
+    """Squared Wasserstein-2 distance between Gaussian statistics."""
+    return gaussian_w2_value_and_grad(p, q, variant)[0]
 
 
 def _imq_kernel_matrix(a: Matrix, b: Matrix, c: float) -> Matrix:
@@ -139,16 +116,3 @@ def mmd_imq_grad_y(x: Matrix, y: Matrix, scale_c: float = 1.0) -> Matrix:
     diff_sum_x = w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x
     grad += (4.0 / (n * m)) * diff_sum_x
     return grad
-
-
-def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact squared W2 between two equal-size 1-D empirical measures.
-
-    Sorts both samples and pairs them monotonically, which is the optimal
-    coupling in one dimension.
-    """
-    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
-    y = np.sort(np.asarray(y, dtype=np.float64).ravel())
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return float(np.mean((x - y) ** 2))

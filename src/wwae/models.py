@@ -1,6 +1,6 @@
-"""Gaussian encoder with reparameterization, decoder, the three training
-objectives (W2-regularized, KL/ELBO, MMD), and the single-step training
-update with exact analytic gradients.
+"""Gaussian encoder with reparameterization, decoder, one table of latent
+regularizers (closed-form W2, KL, IMQ-MMD), the one loss with its exact
+analytic gradients, and the single-step training update.
 
 Gradient flow for the W2 and MMD regularizers runs through the encoded-side
 batch only; the prior batch drawn each step is a constant with respect to
@@ -20,15 +20,17 @@ from .divergences import W2Variant
 from .numerics import Matrix, Rng
 from .spectral import GaussStats
 
-LOGVAR_MIN, LOGVAR_MAX = divergences.LOGVAR_MIN, divergences.LOGVAR_MAX
+LOGVAR_MIN, LOGVAR_MAX = -30.0, 30.0
 
 
 @dataclass
 class EncoderOut:
-    """Per-example latent mean and log-variance (clamped)."""
+    """Per-example latent mean and log-variance (clamped), and the encoder
+    tape that the backward pass needs."""
 
     mu: Matrix
     logvar: Matrix
+    tape: Optional[nn.Tape] = None
 
 
 @dataclass
@@ -112,9 +114,9 @@ def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> 
 
 def encode(params: nn.MlpParams, x: Matrix) -> EncoderOut:
     """Split the trunk output into mean and clamped log-variance heads."""
-    y, _ = nn.mlp_forward(params, x)
+    y, tape = nn.mlp_forward(params, x)
     ell = y.shape[1] // 2
-    return EncoderOut(y[:, :ell], np.clip(y[:, ell:], LOGVAR_MIN, LOGVAR_MAX))
+    return EncoderOut(y[:, :ell], np.clip(y[:, ell:], LOGVAR_MIN, LOGVAR_MAX), tape)
 
 
 def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
@@ -124,6 +126,24 @@ def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
     return out.mu + np.exp(0.5 * out.logvar) * eps
 
 
+def _decode(model: Model, z: Matrix) -> tuple[Matrix, nn.Tape]:
+    y, tape = nn.mlp_forward(model.dec, z)
+    if model.output_activation == "sigmoid":
+        # 1 / (1 + exp(-y)), operation for operation, in place. This
+        # overwrites the output layer's pre-activation in the tape, which
+        # is safe only because that layer is the identity: its backward
+        # never reads the pre-activation.
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y += 1.0
+        np.divide(1.0, y, out=y)
+    return y, tape
+
+
+def decode(model: Model, z: Matrix) -> Matrix:
+    return _decode(model, z)[0]
+
+
 def _recon_error(x: Matrix, x_hat: Matrix) -> float:
     """Mean over the batch of per-example squared L2 error."""
     if x.shape != x_hat.shape:
@@ -131,48 +151,46 @@ def _recon_error(x: Matrix, x_hat: Matrix) -> float:
     return float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
 
 
-def wwae_loss(
-    x: Matrix,
-    x_hat: Matrix,
-    prior_stats: GaussStats,
-    enc_stats: GaussStats,
-    lam: float,
-    variant: W2Variant,
-) -> LossParts:
-    recon = _recon_error(x, x_hat)
-    reg = divergences.gaussian_w2(prior_stats, enc_stats, variant)
-    return LossParts(recon + lam * reg, recon, reg)
+# A regularizer entry takes the codes z, the encoder output and the prior
+# noise of `loss_and_grads`, and returns its value and the gradients of
+# lam * value with respect to z, the means and the log-variances; None
+# stands for a gradient the regularizer does not have.
+RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix]]
 
 
-def vae_loss(x: Matrix, x_hat: Matrix, out: EncoderOut, beta: float) -> LossParts:
-    recon = _recon_error(x, x_hat)
-    n = x.shape[0]
-    reg = sum(divergences.kl_diag_gauss(out.mu[i], out.logvar[i]) for i in range(n)) / n
-    return LossParts(recon + beta * reg, recon, reg)
+def _w2_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+    """Closed-form W2 between the prior statistics (exact, or fitted to the
+    prior batch) and the fit to the codes."""
+    if prior_stats is None:
+        if z_prior is None:
+            raise ValueError("sampled prior statistics need a prior batch")
+        prior_stats = spectral.batch_stats(z_prior, unbiased=True)
+    value, gm, gc = divergences.gaussian_w2_value_and_grad(
+        prior_stats, spectral.batch_stats(z, unbiased=True), W2Variant(cfg.w2_variant)
+    )
+    d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc, unbiased=True)
+    return value, d_z, None, None
 
 
-def wae_mmd_loss(
-    x: Matrix,
-    x_hat: Matrix,
-    z_tilde: Matrix,
-    z_prior: Matrix,
-    lam: float,
-    scale_c: float,
-) -> LossParts:
-    recon = _recon_error(x, x_hat)
-    reg = divergences.mmd_imq(z_prior, z_tilde, scale_c)
-    return LossParts(recon + lam * reg, recon, reg)
+def _kl_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+    """KL of each diagonal posterior to N(0, I), averaged over the batch."""
+    mu, logvar = out.mu, out.logvar
+    n = mu.shape[0]
+    value = float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0)) / n
+    d_mu = cfg.lam * mu / n
+    d_logvar = cfg.lam * (np.exp(logvar) - 1.0) / (2.0 * n)
+    return value, None, d_mu, d_logvar
 
 
-def decode(model: Model, z: Matrix) -> Matrix:
-    y, _ = nn.mlp_forward(model.dec, z)
-    if model.output_activation == "sigmoid":
-        # 1 / (1 + exp(-y)), operation for operation, in place
-        np.negative(y, out=y)
-        np.exp(y, out=y)
-        y += 1.0
-        np.divide(1.0, y, out=y)
-    return y
+def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+    """IMQ-kernel MMD between the prior batch and the codes."""
+    if z_prior is None:
+        raise ValueError("mmd regularizer needs a prior batch")
+    value = divergences.mmd_imq(z_prior, z, cfg.mmd_scale)
+    return value, cfg.lam * divergences.mmd_imq_grad_y(z_prior, z, cfg.mmd_scale), None, None
+
+
+REGULARIZERS = {"w2": _w2_term, "kl": _kl_term, "mmd": _mmd_term}
 
 
 @dataclass
@@ -209,79 +227,37 @@ def loss_and_grads(
     exact prior moments are used instead.
     """
     n = x.shape[0]
-    ell = model.latent_dim
-    kind = cfg.reg_kind()
-
-    enc_y, enc_tape = nn.mlp_forward(model.enc, x)
-    mu = enc_y[:, :ell]
-    logvar_raw = enc_y[:, ell:]
-    logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
-    clamp_mask = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
-    std = np.exp(0.5 * logvar)
-    z = mu + std * eps
-
-    dec_y, dec_tape = nn.mlp_forward(model.dec, z)
-    if model.output_activation == "sigmoid":
-        x_hat = 1.0 / (1.0 + np.exp(-dec_y))
-    else:
-        x_hat = dec_y
-
+    out = encode(model.enc, x)
+    z = reparameterize(out, eps)
+    x_hat, dec_tape = _decode(model, z)
     recon = _recon_error(x, x_hat)
-
-    if kind in ("w2_root_product", "w2_bures"):
-        variant = W2Variant.ROOT_PRODUCT if kind == "w2_root_product" else W2Variant.BURES
-        if prior_stats is None:
-            if z_prior is None:
-                raise ValueError("sampled prior statistics need a prior batch")
-            prior_stats = spectral.batch_stats(z_prior, unbiased=True)
-        enc_stats = spectral.batch_stats(z, unbiased=True)
-        reg = divergences.gaussian_w2(prior_stats, enc_stats, variant)
-    elif kind == "kl":
-        reg = float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0)) / n
-    elif kind == "mmd":
-        if z_prior is None:
-            raise ValueError("mmd regularizer needs a prior batch")
-        reg = divergences.mmd_imq(z_prior, z, cfg.mmd_scale)
-    else:
-        raise ValueError(f"unknown regularizer kind {kind!r}")
-
-    total = recon + cfg.lam * reg
-    parts = LossParts(total, recon, reg)
+    reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer](
+        cfg, z, out, z_prior, prior_stats
+    )
+    parts = LossParts(recon + cfg.lam * reg, recon, reg)
 
     # Reconstruction path back to the latent codes.
     d_xhat = (2.0 / n) * (x_hat - x)
     if model.output_activation == "sigmoid":
-        d_decy = d_xhat * x_hat * (1.0 - x_hat)
-    else:
-        d_decy = d_xhat
+        d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
     grads = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
-    _, d_z = nn.mlp_backward(model.dec, dec_tape, d_decy, out=grads.dec)
+    _, d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=grads.dec)
 
-    # Regularizer path: gradient w.r.t. codes and/or heads directly.
-    d_mu_extra = None
-    d_logvar_extra = None
-    if kind in ("w2_root_product", "w2_bures") and cfg.lam != 0.0:
-        gm, gc = divergences.gaussian_w2_grad(prior_stats, enc_stats, variant)
-        d_z = d_z + spectral.batch_stats_backward(
-            z, cfg.lam * gm, cfg.lam * gc, unbiased=True
-        )
-    elif kind == "kl" and cfg.lam != 0.0:
-        d_mu_extra = cfg.lam * mu / n
-        d_logvar_extra = cfg.lam * (np.exp(logvar) - 1.0) / (2.0 * n)
-    elif kind == "mmd" and cfg.lam != 0.0:
-        d_z = d_z + cfg.lam * divergences.mmd_imq_grad_y(z_prior, z, cfg.mmd_scale)
-
+    # The regularizer gradients are added only when weighted: at lam = 0
+    # they hold zeros that would turn -0.0 into 0.0, or NaN from 0 * inf.
+    if cfg.lam != 0.0 and reg_z is not None:
+        d_z = d_z + reg_z
     # Reparameterization back to the heads.
     d_mu = d_z
-    d_logvar = d_z * eps * (0.5 * std)
-    if d_mu_extra is not None:
-        d_mu = d_mu + d_mu_extra
-        d_logvar = d_logvar + d_logvar_extra
-    d_logvar = d_logvar * clamp_mask
+    d_logvar = d_z * eps * (0.5 * np.exp(0.5 * out.logvar))
+    if cfg.lam != 0.0 and reg_mu is not None:
+        d_mu = d_mu + reg_mu
+        d_logvar = d_logvar + reg_logvar
+    d_logvar = d_logvar * ((out.logvar > LOGVAR_MIN) & (out.logvar < LOGVAR_MAX))
 
     grad_enc_y = np.concatenate([d_mu, d_logvar], axis=1)
-    nn.mlp_backward(model.enc, enc_tape, grad_enc_y, out=grads.enc, input_grad=False)
+    nn.mlp_backward(model.enc, out.tape, grad_enc_y, out=grads.enc, input_grad=False)
     return parts, grads
 
 
@@ -322,16 +298,15 @@ def init_train_state(
 def draw_step_noise(
     cfg: TrainConfig, rng: Rng, n: int, ell: int
 ) -> tuple[Optional[Matrix], Optional[GaussStats], Matrix]:
-    """Per-step randomness in a fixed order: prior batch first, then eps."""
-    kind = cfg.reg_kind()
+    """Per-step randomness in a fixed order: prior batch first, then eps.
+
+    KL draws no prior batch, and neither does W2 with exact prior moments.
+    """
     z_prior = None
     prior_stats = None
-    if kind in ("w2_root_product", "w2_bures"):
-        if cfg.prior_stats == "exact":
-            prior_stats = GaussStats(np.zeros(ell), np.eye(ell))
-        else:
-            z_prior = rng.normal(n, ell)
-    elif kind == "mmd":
+    if cfg.regularizer == "w2" and cfg.prior_stats == "exact":
+        prior_stats = GaussStats(np.zeros(ell), np.eye(ell))
+    elif cfg.regularizer != "kl":
         z_prior = rng.normal(n, ell)
     eps = rng.normal(n, ell)
     return z_prior, prior_stats, eps

@@ -1,5 +1,7 @@
 """Symmetric eigendecomposition, PSD matrix square roots and their analytic
 backward pass, and batch mean/covariance statistics with exact adjoints.
+Root and gradient are both built from one PSD-checked decomposition
+(`eigh_psd`), so a caller that needs both decomposes once.
 
 The square-root gradient uses the Daleckii-Krein divided-difference formula
 1/(sqrt(li) + sqrt(lj)), which stays finite for repeated eigenvalues where a
@@ -52,39 +54,45 @@ def eigh(a: Matrix) -> EigenDecomp:
     return EigenDecomp(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def _check_psd(dec: EigenDecomp) -> None:
-    # Tolerance scales with the spectrum: eigensolver rounding error is
-    # relative, so a fixed cutoff would misfire on huge sample covariances
-    # (exploding but still PSD latents during a diverging run).
+def eigh_psd(a: Matrix) -> EigenDecomp:
+    """`eigh` of a matrix that must be a covariance.
+
+    A negative eigenvalue down to 1e-8 times the spectrum's scale (at least
+    1) counts as rounding; a more negative one raises. The tolerance scales
+    because eigensolver rounding error is relative: a fixed cutoff would
+    misfire on huge sample covariances (exploding but still PSD latents
+    during a diverging run).
+    """
+    dec = eigh(a)
     lo = dec.eigenvalues[-1]
     tol = PSD_TOL * max(1.0, float(np.max(np.abs(dec.eigenvalues))))
     if lo < tol:
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e} < {tol:.0e}")
+    return dec
 
 
-def sqrtm_psd(a: Matrix, eps: float = EIG_CLAMP) -> Matrix:
-    """Symmetric PSD square root V diag(max(l, eps))^{1/2} V^T.
-
-    Eigenvalues in [-1e-8, eps) are clamped up to eps; anything more negative
-    (relative to the spectrum's scale) means the input is not a covariance
-    and raises.
-    """
-    dec = eigh(a)
-    _check_psd(dec)
+def sqrtm_from_eigh(dec: EigenDecomp, eps: float = EIG_CLAMP) -> Matrix:
+    """Symmetric PSD square root V diag(max(l, eps))^{1/2} V^T of a
+    decomposed matrix."""
     roots = np.sqrt(np.maximum(dec.eigenvalues, eps))
     v = dec.eigenvectors
     return (v * roots) @ v.T
 
 
-def grad_trace_sqrtm(a: Matrix, c: Matrix, eps: float = EIG_CLAMP) -> Matrix:
-    """Gradient of Trace(C A^{1/2}) with respect to symmetric PSD A.
+def sqrtm_psd(a: Matrix, eps: float = EIG_CLAMP) -> Matrix:
+    """Symmetric PSD square root of a covariance; eigenvalues below eps are
+    clamped up to eps, and a matrix that is not PSD raises (see eigh_psd)."""
+    return sqrtm_from_eigh(eigh_psd(a), eps)
+
+
+def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix, eps: float = EIG_CLAMP) -> Matrix:
+    """Gradient of Trace(C A^{1/2}) with respect to symmetric PSD A, given
+    A's decomposition from eigh_psd.
 
     With A = V L V^T and S = V^T sym(C) V, the gradient is
     V [S_ij / (sqrt(l_i) + sqrt(l_j))] V^T; denominators are clamped below
     at 2*sqrt(eps) so rank-deficient A stays differentiable.
     """
-    dec = eigh(a)
-    _check_psd(dec)
     roots = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
     denom = np.maximum(roots[:, None] + roots[None, :], 2.0 * np.sqrt(eps))
     v = dec.eigenvectors

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wwae import models
+from wwae.cli import RunManifest
 from wwae.numerics import Rng
 
 
@@ -58,3 +60,46 @@ def read_pgm(path) -> np.ndarray:
     if pixels.size != w * h:
         raise ValueError(f"PGM truncated: expected {w * h} pixels, got {pixels.size}")
     return pixels.reshape(h, w)
+
+
+def parse_manifest(text: str) -> RunManifest:
+    """Split a written manifest.txt back into its three sections."""
+    manifest = RunManifest()
+    section = None
+    for line in text.splitlines():
+        if line in ("# config", "# log", "# final"):
+            section = line[2:]
+            continue
+        if section == "config":
+            manifest.config.append(line)
+        elif section == "log":
+            manifest.records.append(line)
+        elif section == "final":
+            manifest.final.append(line)
+    return manifest
+
+
+def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:
+    """Exact squared W2 between two equal-size 1-D empirical measures.
+
+    Sorts both samples and pairs them monotonically, which is the optimal
+    coupling in one dimension; an oracle for the Gaussian closed form.
+    """
+    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    y = np.sort(np.asarray(y, dtype=np.float64).ravel())
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    return float(np.mean((x - y) ** 2))
+
+
+def corrupt_first_gradient(monkeypatch, amount):
+    """Make every `models.loss_and_grads` call report a wrong gradient for
+    the first encoder parameter; the loss values stay right."""
+    loss_and_grads = models.loss_and_grads
+
+    def corrupted(*args):
+        parts, grads = loss_and_grads(*args)
+        grads.flat[0] += amount
+        return parts, grads
+
+    monkeypatch.setattr(models, "loss_and_grads", corrupted)

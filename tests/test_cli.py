@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import read_pgm
-from wwae import gradcheck, metrics
+from conftest import corrupt_first_gradient, parse_manifest, read_pgm
+from wwae import metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
-from wwae.cli import main, parse_manifest
+from wwae.cli import main
 from wwae.data import make_blob_images, write_idx_images, write_idx_labels
 from wwae.images import write_points_csv
 from wwae.numerics import Rng
@@ -104,6 +104,21 @@ class TestTrain:
         cfg = write_cfg(tmp_path / "bad.cfg", **values)
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: lr must be > 0, got -1.0"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("enc_hidden", "0", "enc_hidden must be all >= 1, got 0"),
+            ("dec_hidden", "8,-2", "dec_hidden must be all >= 1, got 8,-2"),
+            ("seed", "-1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, key, value, message):
+        values = {**RING_CFG, key: value, "out_dir": tmp_path / "out"}
+        cfg = write_cfg(tmp_path / "bad.cfg", **values)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_zero_steps_writes_initial_checkpoint(self, tmp_path):
@@ -337,12 +352,7 @@ class TestGradcheckCmd:
         assert "status=pass" in capsys.readouterr().out
 
     def test_detects_corruption(self, tmp_path, capsys, monkeypatch):
-        def corrupt(enc, dec):
-            bad = enc.copy()
-            bad[0] += 1.0
-            return bad, dec
-
-        monkeypatch.setattr(gradcheck, "corrupt_hook", corrupt)
+        corrupt_first_gradient(monkeypatch, 1.0)
         cfg = write_cfg(
             tmp_path / "g.cfg",
             dataset="ring", limit=64, latent_dim=2, enc_hidden="6",

@@ -104,6 +104,10 @@ def test_validation_rejects(bad):
         "decay_factor = 0",
         "eval_every = -3",
         "mmd_scale = 0",
+        "enc_hidden = 0",
+        "enc_hidden = 16,0,8",
+        "dec_hidden = -4",
+        "seed = -1",
     ],
 )
 def test_out_of_range_value_names_key(line):
@@ -115,6 +119,17 @@ def test_out_of_range_value_names_key(line):
 def test_boundary_values_accepted():
     cfg = parse_config_text("beta1 = 0\nbeta2 = 0.999\neval_every = 0\nlr = 1e-9")
     assert (cfg.beta1, cfg.beta2, cfg.eval_every, cfg.lr) == (0.0, 0.999, 0, 1e-9)
+    cfg = parse_config_text("seed = 0\nenc_hidden = 1\ndec_hidden =")
+    assert (cfg.seed, cfg.enc_hidden, cfg.dec_hidden) == (0, (1,), ())
+
+
+@pytest.mark.parametrize("key,value", [("enc_hidden", [8, 0]), ("dec_hidden", [-1]), ("seed", -3)])
+def test_checkpoint_config_validated(key, value):
+    # checkpoint headers carry the config as a dict
+    d = config_to_dict(TrainConfig())
+    d[key] = value
+    with pytest.raises(ValueError, match=f"^{key}"):
+        config_from_dict(d)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import random_spd, w2_1d_empirical
+from wwae import models, nn
+from wwae.config import TrainConfig
 from wwae.divergences import (
     W2Variant,
     gaussian_w2,
-    gaussian_w2_grad,
-    kl_diag_gauss,
+    gaussian_w2_value_and_grad,
     mmd_imq,
     mmd_imq_grad_y,
-    w2_1d_empirical,
 )
 from wwae.numerics import Rng
-from wwae.spectral import GaussStats, batch_stats, sqrtm_psd
+from wwae.spectral import GaussStats, batch_stats, eigh_psd, grad_trace_sqrtm, sqrtm_psd
 
 BOTH = [W2Variant.ROOT_PRODUCT, W2Variant.BURES]
 
@@ -92,7 +92,7 @@ class TestGaussianW2Grad:
     @pytest.mark.parametrize("variant", BOTH)
     def test_minimum_has_zero_mean_grad(self, variant):
         p = GaussStats(np.zeros(3), 2.0 * np.eye(3))
-        gm, _ = gaussian_w2_grad(p, p, variant)
+        _, gm, _ = gaussian_w2_value_and_grad(p, p, variant)
         np.testing.assert_allclose(gm, np.zeros(3), atol=1e-12)
 
     @pytest.mark.parametrize("variant", BOTH)
@@ -100,14 +100,14 @@ class TestGaussianW2Grad:
         m = np.array([1.0, -2.0, 0.5])
         p = GaussStats(np.zeros(3), np.eye(3))
         q = GaussStats(m, np.eye(3))
-        gm, _ = gaussian_w2_grad(p, q, variant)
+        _, gm, _ = gaussian_w2_value_and_grad(p, q, variant)
         np.testing.assert_allclose(gm, 2.0 * m, atol=1e-12)
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_matches_finite_differences(self, rng, variant):
         d = 6
         p, q = random_stats(rng, d), random_stats(rng, d)
-        gm, gc = gaussian_w2_grad(p, q, variant)
+        _, gm, gc = gaussian_w2_value_and_grad(p, q, variant)
         h = 1e-6
 
         for k in range(d):
@@ -132,18 +132,76 @@ class TestGaussianW2Grad:
             assert abs(an - fd) <= 1e-6 * max(abs(fd), 1.0)
 
 
+class TestGaussianW2ValueAndGrad:
+    """The shared-decomposition call against the value and the gradient
+    written out separately, each taking its own matrix roots."""
+
+    @staticmethod
+    def separate(p, q, variant):
+        eye = np.eye(p.dim)
+        p_root = sqrtm_psd(p.cov)
+        if variant is W2Variant.ROOT_PRODUCT:
+            cross = float(np.trace(p_root @ sqrtm_psd(q.cov)))
+            grad_cov = eye - grad_trace_sqrtm(eigh_psd(q.cov), 2.0 * p_root)
+        else:
+            sandwich = p_root @ q.cov @ p_root
+            cross = float(np.trace(sqrtm_psd(sandwich)))
+            inner = grad_trace_sqrtm(eigh_psd(sandwich), eye)
+            grad_cov = eye - 2.0 * p_root @ inner @ p_root
+        val = float(np.sum((p.mean - q.mean) ** 2))
+        val = val + float(np.trace(p.cov) + np.trace(q.cov))
+        val -= 2.0 * cross
+        return max(val, 0.0), 2.0 * (q.mean - p.mean), grad_cov
+
+    @pytest.mark.parametrize("variant", BOTH)
+    @pytest.mark.parametrize("prior", ["sampled", "exact"])
+    @pytest.mark.parametrize("d", [1, 2, 8, 16])
+    def test_bit_equal_to_separate_expressions(self, variant, prior, d):
+        rng = Rng(100 + d)
+        if prior == "exact":
+            p = GaussStats(np.zeros(d), np.eye(d))
+        else:
+            p = batch_stats(rng.normal(64, d))
+        q = batch_stats(0.5 + 2.0 * rng.normal(64, d))
+        value, gm, gc = gaussian_w2_value_and_grad(p, q, variant)
+        want_value, want_gm, want_gc = self.separate(p, q, variant)
+        assert value == want_value and value > 0.0
+        assert gm.tobytes() == want_gm.tobytes()
+        assert gc.tobytes() == want_gc.tobytes()
+        assert gaussian_w2(p, q, variant) == value
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_identical_stats_give_exact_zero(self, rng, variant):
+        p = random_stats(rng, 6)
+        value, gm, _ = gaussian_w2_value_and_grad(p, GaussStats(p.mean.copy(), p.cov.copy()), variant)
+        assert value == 0.0
+        assert not np.any(gm)
+
+
+def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
+    """The KL regularizer of one example whose encoder heads output mu and
+    logvar, through `models.encode` (which clamps) and the table entry."""
+    ell = len(mu)
+    enc = nn.MlpParams(
+        [np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])], ["identity"]
+    )
+    out = models.encode(enc, np.zeros((1, 1)))
+    cfg = TrainConfig(regularizer="kl", latent_dim=ell)
+    return models.REGULARIZERS["kl"](cfg, out.mu, out, None, None)[0]
+
+
 class TestKl:
     def test_zero_at_prior(self):
-        assert kl_diag_gauss(np.zeros(3), np.zeros(3)) == 0.0
+        assert kl_term(np.zeros(3), np.zeros(3)) == 0.0
 
     def test_hand_values(self):
-        assert abs(kl_diag_gauss(np.array([1.0]), np.array([0.0])) - 0.5) < 1e-12
+        assert abs(kl_term(np.array([1.0]), np.array([0.0])) - 0.5) < 1e-12
         want = 0.5 * (np.e - 2.0)
-        assert abs(kl_diag_gauss(np.array([0.0]), np.array([1.0])) - want) < 1e-12
+        assert abs(kl_term(np.array([0.0]), np.array([1.0])) - want) < 1e-12
 
     def test_extreme_logvar_clamped(self):
         # values beyond +-30 clamp instead of overflowing
-        v = kl_diag_gauss(np.zeros(2), np.array([1000.0, -1000.0]))
+        v = kl_term(np.zeros(2), np.array([1000.0, -1000.0]))
         assert np.isfinite(v)
 
 

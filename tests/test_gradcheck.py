@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wwae import gradcheck
+from conftest import corrupt_first_gradient
+from wwae import gradcheck, models, nn
 from wwae.config import TrainConfig
 from wwae.numerics import Rng
 
@@ -49,15 +50,24 @@ def test_image_path_with_sigmoid_output():
 
 def test_corrupted_gradients_detected(monkeypatch):
     # negative control: a wrong gradient must trip the checker
-    def corrupt(enc, dec):
-        bad = enc.copy()
-        bad[0] += 0.5
-        return bad, dec
-
-    monkeypatch.setattr(gradcheck, "corrupt_hook", corrupt)
+    corrupt_first_gradient(monkeypatch, 0.5)
     res = gradcheck.check_config(tiny_config())
     assert not res.passed
     assert res.max_rel_err > 1e-4
+    assert res.worst == "enc.W0[0,0]"
+
+
+def test_one_loss_evaluation_per_probe(monkeypatch):
+    # the analytic pass, then two evaluations per parameter
+    calls = []
+    loss_and_grads = models.loss_and_grads
+    monkeypatch.setattr(
+        models, "loss_and_grads", lambda *a: calls.append(1) or loss_and_grads(*a)
+    )
+    cfg = tiny_config()
+    gradcheck.check_config(cfg)
+    n_params = sum(nn.n_params(w) for w in ([2, 6, 4], [2, 6, 2]))
+    assert len(calls) == 1 + 2 * n_params
 
 
 def test_report_line_format():

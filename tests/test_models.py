@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wwae import nn
+from wwae import config, models, nn, spectral
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.config import TrainConfig
 from wwae.data import batches, load_dataset
-from wwae.divergences import W2Variant
+from wwae.divergences import W2Variant, gaussian_w2
 from wwae.models import (
     EncoderOut,
     Model,
@@ -23,9 +23,6 @@ from wwae.models import (
     reconstruct,
     reparameterize,
     train_step,
-    vae_loss,
-    wae_mmd_loss,
-    wwae_loss,
 )
 from wwae.numerics import Rng
 from wwae.spectral import GaussStats, batch_stats
@@ -105,63 +102,84 @@ class TestReparameterize:
             reparameterize(out, np.zeros((2, 3)))
 
 
+def linear_model(enc_w, enc_b, dec_w, dec_b) -> Model:
+    """One identity layer each way, with the given weights and biases."""
+    enc = nn.MlpParams([np.array(enc_w, float)], [np.array(enc_b, float)], ["identity"])
+    dec = nn.MlpParams([np.array(dec_w, float)], [np.array(dec_b, float)], ["identity"])
+    return Model(enc, dec, np.shape(dec_w)[1], "identity")
+
+
+# Five codes around their mean whose unbiased covariance is exactly I.
+UNIT_SPREAD = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
+EXACT_PRIOR = GaussStats(np.zeros(2), np.eye(2))
+
+
 class TestLosses:
+    """Each objective through `loss_and_grads` on hand-built linear nets."""
+
     def test_wwae_perfect_match_is_zero(self):
+        # mu = x, logvar = 0, eps = 0 and an identity decoder: x_hat = x,
+        # and the prior statistics are those of the codes
         x = np.random.default_rng(0).normal(size=(4, 3))
-        stats = GaussStats(np.zeros(2), np.eye(2))
-        parts = wwae_loss(x, x.copy(), stats, stats, lam=5.0, variant=W2Variant.BURES)
+        model = linear_model(np.vstack([np.eye(3), np.zeros((3, 3))]), np.zeros(6), np.eye(3), np.zeros(3))
+        cfg = ring_config(latent_dim=3, lam=5.0, w2_variant="bures")
+        parts, _ = loss_and_grads(model, cfg, x, np.zeros((4, 3)), None, batch_stats(x))
         assert parts.total == 0.0 and parts.recon == 0.0 and parts.reg == 0.0
 
     def test_wwae_lambda_zero(self):
-        x = np.ones((2, 2))
-        x_hat = np.zeros((2, 2))
-        p = GaussStats(np.zeros(2), np.eye(2))
-        q = GaussStats(np.ones(2), np.eye(2))
-        parts = wwae_loss(x, x_hat, p, q, lam=0.0, variant=W2Variant.BURES)
+        # codes with mean (1, 1) and covariance I against N(0, I); x_hat = 0
+        model = linear_model(np.zeros((4, 2)), [1.0, 1.0, 0.0, 0.0], np.zeros((2, 2)), np.zeros(2))
+        cfg = ring_config(lam=0.0, w2_variant="bures", prior_stats="exact")
+        parts, _ = loss_and_grads(model, cfg, np.ones((5, 2)), UNIT_SPREAD, None, EXACT_PRIOR)
         assert parts.total == parts.recon == 2.0
         assert parts.reg == 2.0  # reported even though unweighted
 
     def test_wwae_hand_sum(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        x_hat = np.zeros((2, 2))
-        p = GaussStats(np.zeros(2), np.eye(2))
-        q = GaussStats(np.array([3.0, 4.0]), np.eye(2))
-        parts = wwae_loss(x, x_hat, p, q, lam=2.0, variant=W2Variant.ROOT_PRODUCT)
+        model = linear_model(np.zeros((4, 2)), [3.0, 4.0, 0.0, 0.0], np.zeros((2, 2)), np.zeros(2))
+        cfg = ring_config(lam=2.0, prior_stats="exact")
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        parts, _ = loss_and_grads(model, cfg, x, UNIT_SPREAD, None, EXACT_PRIOR)
         assert abs(parts.recon - 1.0) < 1e-12
         assert abs(parts.reg - 25.0) < 1e-12
         assert abs(parts.total - 51.0) < 1e-12
 
     def test_vae_reg_zero_at_prior(self):
-        x = np.ones((3, 2))
-        out = EncoderOut(np.zeros((3, 2)), np.zeros((3, 2)))
-        parts = vae_loss(x, x.copy(), out, beta=1.0)
+        # mu = 0, logvar = 0, and a constant decoder that outputs x
+        model = linear_model(np.zeros((4, 2)), np.zeros(4), np.zeros((2, 2)), np.ones(2))
+        eps = Rng(3).normal(3, 2)
+        parts, _ = loss_and_grads(model, ring_config(regularizer="kl"), np.ones((3, 2)), eps, None, None)
         assert parts.reg == 0.0 and parts.total == 0.0
 
     def test_vae_beta_zero(self):
-        x = np.ones((2, 2))
-        out = EncoderOut(np.ones((2, 2)), np.zeros((2, 2)))
-        parts = vae_loss(x, np.zeros((2, 2)), out, beta=0.0)
+        model = linear_model(np.zeros((4, 2)), [1.0, 1.0, 0.0, 0.0], np.zeros((2, 2)), np.zeros(2))
+        cfg = ring_config(regularizer="kl", lam=0.0)
+        parts, _ = loss_and_grads(model, cfg, np.ones((2, 2)), np.zeros((2, 2)), None, None)
         assert parts.total == parts.recon
+        assert parts.reg == 1.0
 
     def test_vae_hand_kl(self):
-        x = np.zeros((1, 1))
-        out = EncoderOut(np.array([[1.0]]), np.array([[0.0]]))
-        parts = vae_loss(x, x.copy(), out, beta=1.0)
+        model = linear_model(np.zeros((2, 1)), [1.0, 0.0], np.zeros((1, 1)), np.zeros(1))
+        cfg = ring_config(regularizer="kl", latent_dim=1)
+        parts, _ = loss_and_grads(model, cfg, np.zeros((1, 1)), np.zeros((1, 1)), None, None)
         assert abs(parts.reg - 0.5) < 1e-12
 
     def test_mmd_permutation_invariance(self):
-        rng = Rng(8)
-        x = rng.normal(4, 2)
-        z = rng.normal(4, 2)
-        perm = z[[2, 0, 3, 1]]
-        a = wae_mmd_loss(x, x.copy(), z, z.copy(), lam=1.0, scale_c=1.0)
-        b = wae_mmd_loss(x, x.copy(), perm, z.copy(), lam=1.0, scale_c=1.0)
+        cfg = ring_config(regularizer="mmd")
+        state, ds = fresh_state(cfg)
+        x = ds.examples[:4]
+        eps, z_prior = Rng(8).normal(4, 2), Rng(9).normal(4, 2)
+        perm = [2, 0, 3, 1]  # permutes the codes
+        a, _ = loss_and_grads(state.model, cfg, x, eps, z_prior, None)
+        b, _ = loss_and_grads(state.model, cfg, x[perm], eps[perm], z_prior, None)
         assert abs(a.reg - b.reg) < 1e-12
 
     def test_mmd_lambda_zero(self):
+        cfg = ring_config(regularizer="mmd", lam=0.0)
+        state, ds = fresh_state(cfg)
         rng = Rng(9)
-        x = rng.normal(4, 2)
-        parts = wae_mmd_loss(x, np.zeros_like(x), rng.normal(4, 2), rng.normal(4, 2), 0.0, 1.0)
+        parts, _ = loss_and_grads(
+            state.model, cfg, ds.examples[:4], rng.normal(4, 2), rng.normal(4, 2), None
+        )
         assert parts.total == parts.recon
 
 
@@ -258,6 +276,7 @@ class TestLossAndGrads:
         assert pa.recon == pb.recon
 
     def test_reports_match_loss_functions(self):
+        # the reported terms against the forward written out step by step
         cfg = ring_config(prior_stats="exact", lam=3.0)
         state, ds = fresh_state(cfg)
         x = ds.examples[: cfg.batch_size]
@@ -266,10 +285,26 @@ class TestLossAndGrads:
         parts, _ = loss_and_grads(state.model, cfg, x, eps, None, stats)
         out = encode(state.model.enc, x)
         z = reparameterize(out, eps)
-        want = wwae_loss(
-            x, decode(state.model, z), stats, batch_stats(z), 3.0, W2Variant.ROOT_PRODUCT
-        )
-        assert abs(parts.total - want.total) < 1e-12
+        recon = float(np.mean(np.sum((x - decode(state.model, z)) ** 2, axis=1)))
+        reg = gaussian_w2(stats, batch_stats(z), W2Variant.ROOT_PRODUCT)
+        assert (parts.recon, parts.reg) == (recon, reg)
+        assert parts.total == recon + 3.0 * reg
+
+    def test_lambda_zero_grads_equal_across_regularizers(self):
+        # unweighted, no regularizer may touch the gradient, not even by
+        # adding zeros
+        x = fresh_state(ring_config())[1].examples[:32]
+        eps, z_prior = Rng(6).normal(32, 2), Rng(7).normal(32, 2)
+        flats = set()
+        for reg in config.REGULARIZERS:
+            cfg = ring_config(regularizer=reg, lam=0.0)
+            state, _ = fresh_state(cfg)
+            _, grads = loss_and_grads(state.model, cfg, x, eps, z_prior, None)
+            flats.add(grads.flat.tobytes())
+        assert len(flats) == 1
+
+    def test_table_covers_every_configurable_regularizer(self):
+        assert set(models.REGULARIZERS) == set(config.REGULARIZERS)
 
 
 class TestTrainStep:
@@ -295,6 +330,20 @@ class TestTrainStep:
         # one optimizer steps the encoder and the decoder together
         assert state.adam.t == 3
         assert state.adam.m.size == state.adam.v.size == state.model.theta.size
+
+    @pytest.mark.parametrize("variant", ["root_product", "bures"])
+    @pytest.mark.parametrize("prior", ["sampled", "exact"])
+    def test_w2_step_makes_two_eigh_calls(self, monkeypatch, variant, prior):
+        # one decomposition of the prior covariance and one of the codes'
+        # covariance (root_product) or of the sandwich (bures), shared by
+        # the value and the gradient
+        calls = []
+        eigh = spectral.eigh
+        monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(a) or eigh(a))
+        cfg = ring_config(w2_variant=variant, prior_stats=prior)
+        state, ds = fresh_state(cfg)
+        train_step(state, ds.examples[: cfg.batch_size])
+        assert len(calls) == 2
 
     def test_effective_lr_reported(self):
         cfg = ring_config(steps=2, decay_every=1, decay_factor=0.5, lr=0.004)
@@ -396,6 +445,12 @@ class TestDrawStepNoise:
         ref = Rng(10)
         np.testing.assert_array_equal(z_prior, ref.normal(4, 2))
         np.testing.assert_array_equal(eps, ref.normal(4, 2))
+
+
+    def test_kl_draws_no_prior_batch(self):
+        z_prior, stats, eps = draw_step_noise(ring_config(regularizer="kl"), Rng(10), 4, 2)
+        assert z_prior is None and stats is None
+        np.testing.assert_array_equal(eps, Rng(10).normal(4, 2))
 
 
 class TestCheckpoint:

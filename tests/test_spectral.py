@@ -10,7 +10,9 @@ from wwae.spectral import (
     batch_stats,
     batch_stats_backward,
     eigh,
+    eigh_psd,
     grad_trace_sqrtm,
+    sqrtm_from_eigh,
     sqrtm_psd,
 )
 
@@ -77,24 +79,34 @@ class TestSqrtm:
         out = sqrtm_psd(np.diag([1.0, -1e-9]))
         assert out[1, 1] >= 0.0
 
+    def test_is_the_root_of_the_checked_decomposition(self, rng):
+        a = random_spd(rng, 8)
+        assert sqrtm_psd(a).tobytes() == sqrtm_from_eigh(eigh_psd(a)).tobytes()
+
+    def test_tolerance_scales_with_spectrum(self):
+        # -1e-6 is rounding next to an eigenvalue of 1e4, not next to 1
+        eigh_psd(np.diag([1e4, -1e-6]))
+        with pytest.raises(ValueError, match="not PSD"):
+            eigh_psd(np.diag([1.0, -1e-6]))
+
 
 class TestGradTraceSqrtm:
     def test_identity_pair(self):
-        np.testing.assert_allclose(grad_trace_sqrtm(np.eye(2), np.eye(2)), 0.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(grad_trace_sqrtm(eigh_psd(np.eye(2)), np.eye(2)), 0.5 * np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        g = grad_trace_sqrtm(np.diag([4.0, 9.0]), np.eye(2))
+        g = grad_trace_sqrtm(eigh_psd(np.diag([4.0, 9.0])), np.eye(2))
         np.testing.assert_allclose(g, np.diag([0.25, 1.0 / 6.0]), atol=1e-12)
 
     def test_output_symmetric(self, rng):
-        g = grad_trace_sqrtm(random_spd(rng, 6), rng.normal(6, 6))
+        g = grad_trace_sqrtm(eigh_psd(random_spd(rng, 6)), rng.normal(6, 6))
         np.testing.assert_array_equal(g, g.T)
 
     def test_matches_finite_differences(self, rng):
         d = 8
         a = random_spd(rng, d)
         c = rng.normal(d, d)
-        g = grad_trace_sqrtm(a, c)
+        g = grad_trace_sqrtm(eigh_psd(a), c)
         h = 1e-6
         for _ in range(20):
             i, j = rng.integers(0, d, 2)
