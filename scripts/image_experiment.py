@@ -9,13 +9,11 @@ Usage:
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from wwae import models
 from wwae.checkpoint import load_checkpoint
 from wwae.cli import main as cli
 from wwae.data import Dataset, make_blob_images, write_idx_images, write_idx_labels
-from wwae.metrics import fid, pixel_pca_features
+from wwae.metrics import DeskFid
 from wwae.numerics import Rng
 
 
@@ -64,13 +62,10 @@ def main() -> None:
         raise SystemExit(rc)
 
     state = load_checkpoint(out / "run" / "model.ckpt")
-    real_feats, basis = pixel_pca_features(held, None, k=32)
     generated = models.generate(state.model, Rng(args.seed).split(6), args.held_size)
-    gen_feats, _ = pixel_pca_features(generated, basis)
-    mse = float(
-        np.mean(np.sum((held - models.reconstruct(state.model, held)) ** 2, axis=1))
-    )
-    print(f"held_out_desk_fid={fid(real_feats, gen_feats):.4f} held_out_mse={mse:.4f}")
+    score = DeskFid(held, image_data=True).score(generated)
+    mse = models.recon_error(held, models.reconstruct(state.model, held))
+    print(f"held_out_desk_fid={score:.4f} held_out_mse={mse:.4f}")
 
     cli(["sample", "--ckpt", str(out / "run" / "model.ckpt"),
          "--count", "64", "--out", str(out / "samples.pgm")])

@@ -66,31 +66,6 @@ def _record_line(report: models.StepReport) -> str:
     )
 
 
-class _FidEvaluator:
-    """Desk-FID against a fixed reference slice in a fixed feature space."""
-
-    def __init__(self, dataset: data.Dataset, out_dir: Path):
-        self.count = min(dataset.n, FID_EVAL_CAP)
-        reference = dataset.examples[: self.count]
-        if dataset.image_shape is not None:
-            # Always fitted on this run's data: a basis left in out_dir by an
-            # earlier run may come from other data.
-            k = min(metrics.DEFAULT_FEATURE_DIM, self.count, dataset.dim)
-            self.real, self.basis = metrics.pixel_pca_features(reference, None, k)
-            metrics.save_basis(out_dir / BASIS_NAME, self.basis)
-        else:
-            self.basis = None
-            self.real = metrics.FeatureSet(reference, "real")
-
-    def score(self, state: TrainState, rng: Rng) -> float:
-        generated = models.generate(state.model, rng, self.count)
-        if self.basis is not None:
-            feats, _ = metrics.pixel_pca_features(generated, self.basis)
-        else:
-            feats = metrics.FeatureSet(generated, "generated")
-        return metrics.fid(self.real, feats)
-
-
 def _write_sample_artifact(
     state: TrainState, rng: Rng, out: Path, count: int
 ) -> Path:
@@ -114,7 +89,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     manifest = RunManifest(config=config_lines(cfg))
     log_every = cfg.eval_every if cfg.eval_every > 0 else 100
-    evaluator = _FidEvaluator(dataset, out_dir) if cfg.eval_every > 0 else None
+    desk_fid = None
+    if cfg.eval_every > 0:
+        eval_count = min(dataset.n, FID_EVAL_CAP)
+        # Fitted on this run's data: a basis in out_dir may come from other data.
+        desk_fid = metrics.DeskFid(
+            dataset.examples[:eval_count], dataset.image_shape is not None
+        )
+        if desk_fid.basis is not None:
+            metrics.save_basis(out_dir / BASIS_NAME, desk_fid.basis)
     eval_base = root.split(4)
     fid_final = None
     fid_best = None
@@ -139,11 +122,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             line = _record_line(report)
             manifest.records.append(line)
             print(f"{line} wall={time.monotonic() - started:.1f}s")
-        if evaluator is not None and (
+        if desk_fid is not None and (
             report.step % cfg.eval_every == 0 or report.step == cfg.steps
         ):
             step_rng = eval_base.split(report.step)
-            score = evaluator.score(state, step_rng.split(0))
+            score = desk_fid.score(
+                models.generate(state.model, step_rng.split(0), eval_count)
+            )
             fid_final = score
             if fid_best is None or score < fid_best:
                 fid_best, fid_best_step = score, report.step
@@ -187,23 +172,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dataset_for(state: TrainState, data_path: Optional[str]) -> data.Dataset:
-    """Explicit IDX path wins; otherwise rebuild the training dataset."""
+def _dataset_for(
+    state: TrainState, data_path: Optional[str], limit: Optional[int] = None
+) -> data.Dataset:
+    """The first `limit` rows of an explicit IDX path, else the whole training set."""
     if data_path:
-        return data.load_idx(data_path, data.derive_labels_path(data_path))
+        return data.load_idx(data_path, data.derive_labels_path(data_path), limit)
     cfg = state.config
     return data.load_dataset(cfg, Rng(cfg.seed).split(3))
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be positive, got {args.count}")
     state = load_checkpoint(args.ckpt)
-    dataset = _dataset_for(state, args.data)
-    count = min(args.count, dataset.n)
+    x = _dataset_for(state, args.data, args.count).examples[: args.count]
+    count = x.shape[0]
     if count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
-    x = dataset.examples[:count]
     x_hat = models.reconstruct(state.model, x)
-    err = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
+    err = models.recon_error(x, x_hat)
     if state.image_shape is not None:
         images.write_pgm(
             args.out, images.pair_grid(x, x_hat, state.image_shape)
@@ -226,27 +214,21 @@ def cmd_fid(args: argparse.Namespace) -> int:
             raise ValueError(
                 "need either --features-a/--features-b or --ckpt (+ optional --data)"
             )
-        state = load_checkpoint(args.ckpt)
-        dataset = _dataset_for(state, args.data)
-        count = min(args.count, dataset.n)
-        if count < 2:
+        if args.count < 2:
             raise ValueError(f"count must be at least 2, got {args.count}")
-        real = dataset.examples[:count]
-        generated = models.generate(state.model, Rng(args.seed), count)
-        if state.image_shape is not None:
-            basis_path = Path(args.ckpt).parent / BASIS_NAME
-            if basis_path.is_file():
-                basis = metrics.load_basis(basis_path)
-                real_f, _ = metrics.pixel_pca_features(real, basis)
-            else:
-                k = min(metrics.DEFAULT_FEATURE_DIM, count, dataset.dim)
-                real_f, basis = metrics.pixel_pca_features(real, None, k)
-                metrics.save_basis(basis_path, basis)
-            gen_f, _ = metrics.pixel_pca_features(generated, basis)
-        else:
-            real_f = metrics.FeatureSet(real, "real")
-            gen_f = metrics.FeatureSet(generated, "generated")
-        score = metrics.fid(real_f, gen_f)
+        state = load_checkpoint(args.ckpt)
+        real = _dataset_for(state, args.data, args.count).examples[: args.count]
+        if real.shape[0] < 2:
+            raise ValueError(f"count must be at least 2, got {args.count}")
+        # The basis written by `wwae train` when there is one; otherwise one
+        # fitted on these rows and kept in memory: this command writes nothing.
+        basis_path = Path(args.ckpt).parent / BASIS_NAME
+        basis = None
+        if state.image_shape is not None and basis_path.is_file():
+            basis = metrics.load_basis(basis_path)
+        desk_fid = metrics.DeskFid(real, state.image_shape is not None, basis)
+        generated = models.generate(state.model, Rng(args.seed), real.shape[0])
+        score = desk_fid.score(generated)
     print(f"# {DESK_FID_NOTE}")
     print(f"desk_fid={score!r}")
     return 0

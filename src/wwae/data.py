@@ -9,6 +9,8 @@ gunzipped IDX files. Nothing here touches the network.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,11 +52,34 @@ class Dataset:
         return self.examples.shape[1]
 
 
-def _read_exact(path: Path, expected: int, payload: int) -> None:
-    if payload < expected:
-        raise ValueError(
-            f"truncated IDX file {path}: expected {expected} data bytes, got {payload}"
-        )
+def _read_idx(
+    path: Path, magic: int, kind: str, limit: int | None
+) -> tuple[list[int], np.ndarray]:
+    """Check the header (big-endian uint32 magic, whose low byte is the number
+    of dimensions, then one uint32 per dimension) and payload size of an IDX
+    file; return the sizes and, reading no other byte, the first `limit`
+    items (all when None) as a uint8 matrix with one row per item."""
+    head_size = 4 + 4 * (magic & 0xFF)
+    with open(path, "rb") as fh:
+        head = fh.read(head_size)
+        if len(head) < head_size:
+            raise ValueError(f"truncated IDX file {path}: no header")
+        found, *dims = struct.unpack(f">{head_size // 4}I", head)
+        if found != magic:
+            raise ValueError(
+                f"not IDX {kind}: {path} has magic 0x{found:08x}, "
+                f"expected 0x{magic:08x}"
+            )
+        item = math.prod(dims[1:])
+        expected = dims[0] * item
+        payload = os.fstat(fh.fileno()).st_size - head_size
+        if payload < expected:
+            raise ValueError(
+                f"truncated IDX file {path}: expected {expected} data bytes, got {payload}"
+            )
+        n = dims[0] if limit is None else min(dims[0], limit)
+        raw = fh.read(n * item)
+    return dims, np.frombuffer(raw, dtype=np.uint8).reshape(n, item)
 
 
 def load_idx(
@@ -64,45 +89,24 @@ def load_idx(
 ) -> Dataset:
     """Load an IDX image file (and optional aligned label file).
 
-    Layout: big-endian uint32 magic, then dimension sizes, then raw bytes.
-    Pixels are scaled to [0, 1]. `limit` truncates to the first examples;
-    limit == 0 is rejected (an empty dataset is useless).
+    Pixels are scaled to [0, 1]. `limit` truncates to the first examples,
+    and only their bytes are read; limit == 0 is rejected (an empty
+    dataset is useless).
     """
+    if limit is not None and limit <= 0:
+        raise ValueError(f"limit must be positive, got {limit}")
     images_path = Path(images_path)
-    raw = images_path.read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"truncated IDX file {images_path}: no header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(
-            f"not IDX images: {images_path} has magic 0x{magic:08x}, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    _read_exact(images_path, n * rows * cols, len(raw) - 16)
-    if limit is not None:
-        if limit <= 0:
-            raise ValueError(f"limit must be positive, got {limit}")
-        n = min(n, limit)
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
+    (_, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", limit)
     # One pass; the same bits as pixels.astype(np.float64) / 255.0.
-    examples = np.divide(pixels.reshape(n, rows * cols), 255.0, dtype=np.float64)
+    examples = np.divide(pixels, 255.0, dtype=np.float64)
+    n = examples.shape[0]
 
     labels = None
     if labels_path is not None:
-        labels_path = Path(labels_path)
-        lraw = labels_path.read_bytes()
-        if len(lraw) < 8:
-            raise ValueError(f"truncated IDX file {labels_path}: no header")
-        lmagic, ln = struct.unpack(">II", lraw[:8])
-        if lmagic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"not IDX labels: {labels_path} has magic 0x{lmagic:08x}, "
-                f"expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        _read_exact(labels_path, ln, len(lraw) - 8)
+        (ln,), raw = _read_idx(Path(labels_path), IDX_LABELS_MAGIC, "labels", n)
         if ln < n:
             raise ValueError(f"label file has {ln} entries for {n} images")
-        labels = np.frombuffer(lraw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+        labels = raw.ravel().astype(np.int64)
 
     return Dataset(examples, labels, images_path.name, (rows, cols))
 

@@ -30,28 +30,18 @@ DEFAULT_FEATURE_DIM = 32
 BASIS_MAGIC = "WWAEBASIS 1"
 
 
-@dataclass
-class FeatureSet:
-    """Rows of feature vectors plus a tag naming where they came from."""
-
-    features: Matrix
-    source: str = ""
-
-
-def fid(a: FeatureSet, b: FeatureSet) -> float:
-    """Squared Gaussian W2 (Bures cross term) between unbiased fits.
+def fid(a: Matrix, b: Matrix) -> float:
+    """Squared Gaussian W2 (Bures cross term) between unbiased row fits.
 
     The two fits are fed to the divergence in a canonical byte order, so
     fid(a, b) == fid(b, a) exactly, not just up to rounding.
     """
-    fa = np.asarray(a.features, dtype=np.float64)
-    fb = np.asarray(b.features, dtype=np.float64)
+    fa = np.asarray(a, dtype=np.float64)
+    fb = np.asarray(b, dtype=np.float64)
     if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
-        raise ValueError(
-            f"feature dimensions differ: {fa.shape} vs {fb.shape}"
-        )
-    sa = spectral.batch_stats(fa, unbiased=True)
-    sb = spectral.batch_stats(fb, unbiased=True)
+        raise ValueError(f"feature dimensions differ: {fa.shape} vs {fb.shape}")
+    sa = spectral.batch_stats(fa)
+    sb = spectral.batch_stats(fb)
     ka = sa.mean.tobytes() + sa.cov.tobytes()
     kb = sb.mean.tobytes() + sb.cov.tobytes()
     if kb < ka:
@@ -59,40 +49,57 @@ def fid(a: FeatureSet, b: FeatureSet) -> float:
     return divergences.gaussian_w2(sa, sb, W2Variant.BURES)
 
 
-def pixel_pca_features(
-    images: Matrix,
-    basis: Optional[Matrix],
-    k: int = DEFAULT_FEATURE_DIM,
-) -> tuple[FeatureSet, Matrix]:
-    """Project images onto a top-k pixel-PCA basis, fitting it if absent.
-
-    The basis must be fitted once on the real (reference) side and reused
-    for every set entering the same comparison; refitting per side would
-    put the two sides in different feature spaces.
-    """
+def _pixel_matrix(images: Matrix) -> Matrix:
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 2:
         raise ValueError(f"expected an n x d matrix, got shape {images.shape}")
-    n, d = images.shape
-    if basis is None:
-        if k > min(n, d):
-            raise ValueError(f"k={k} exceeds min(n, d) = {min(n, d)}")
-        cov = spectral.batch_stats(images, unbiased=True).cov
-        dec = spectral.eigh(cov)
-        basis = dec.eigenvectors[:, :k].copy()
-        # Sign convention: largest-magnitude entry of each direction is
-        # positive, so the fitted basis is unique and runs are comparable.
-        for j in range(k):
-            col = basis[:, j]
-            if col[np.argmax(np.abs(col))] < 0:
-                basis[:, j] = -col
-    else:
-        basis = np.asarray(basis, dtype=np.float64)
-        if basis.shape[0] != d:
-            raise ValueError(
-                f"basis rows {basis.shape[0]} do not match pixel count {d}"
-            )
-    return FeatureSet(images @ basis), basis
+    return images
+
+
+def fit_pca_basis(images: Matrix, k: int) -> Matrix:
+    """Top-k principal directions of the pixel covariance, as columns."""
+    images = _pixel_matrix(images)
+    if k > min(images.shape):
+        raise ValueError(f"k={k} exceeds min(n, d) = {min(images.shape)}")
+    dec = spectral.eigh(spectral.batch_stats(images).cov)
+    basis = dec.eigenvectors[:, :k].copy()
+    # Sign convention: largest-magnitude entry of each direction is
+    # positive, so the fitted basis is unique and runs are comparable.
+    for j in range(k):
+        col = basis[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            basis[:, j] = -col
+    return basis
+
+
+def pixel_pca_features(images: Matrix, basis: Matrix) -> Matrix:
+    """Project image rows onto a pixel-PCA basis."""
+    images = _pixel_matrix(images)
+    basis = np.asarray(basis, dtype=np.float64)
+    if basis.shape[0] != images.shape[1]:
+        raise ValueError(
+            f"basis rows {basis.shape[0]} do not match pixel count {images.shape[1]}"
+        )
+    return images @ basis
+
+
+class DeskFid:
+    """Desk-FID of generated rows against fixed real rows, in one feature
+    space fixed here: the given basis, else the top-k pixel-PCA basis of the
+    real rows for image data, else raw coordinates (basis None). Fitting a
+    basis per side would score the two sides in different spaces."""
+
+    def __init__(self, real: Matrix, image_data: bool, basis: Optional[Matrix] = None):
+        if basis is None and image_data:
+            basis = fit_pca_basis(real, min(DEFAULT_FEATURE_DIM, *np.shape(real)))
+        self.basis = basis
+        self.real = self._features(real)
+
+    def _features(self, rows: Matrix) -> Matrix:
+        return rows if self.basis is None else pixel_pca_features(rows, self.basis)
+
+    def score(self, generated: Matrix) -> float:
+        return fid(self.real, self._features(generated))
 
 
 def save_basis(path: str | Path, basis: Matrix) -> None:
@@ -126,7 +133,7 @@ def load_basis(path: str | Path) -> Matrix:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
 
 
-def read_features_csv(path: str | Path) -> FeatureSet:
+def read_features_csv(path: str | Path) -> Matrix:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"feature file not found: {path}")
@@ -137,7 +144,7 @@ def read_features_csv(path: str | Path) -> FeatureSet:
             rows.append([float(v) for v in line.split(",")])
     if not rows:
         raise ValueError(f"feature file is empty: {path}")
-    return FeatureSet(np.array(rows, dtype=np.float64), source=str(path))
+    return np.array(rows, dtype=np.float64)
 
 
 def mode_coverage(
@@ -185,7 +192,7 @@ def latent_report(
     eps = rng.normal(n, out.mu.shape[1])
     z = reparameterize(out, eps)
     labels = dataset.labels[:n] if dataset.labels is not None else None
-    return LatentReport(spectral.batch_stats(z, unbiased=True), z, labels)
+    return LatentReport(spectral.batch_stats(z), z, labels)
 
 
 def latent_summary(stats: GaussStats) -> tuple[float, float]:

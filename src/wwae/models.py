@@ -144,7 +144,7 @@ def decode(model: Model, z: Matrix) -> Matrix:
     return _decode(model, z)[0]
 
 
-def _recon_error(x: Matrix, x_hat: Matrix) -> float:
+def recon_error(x: Matrix, x_hat: Matrix) -> float:
     """Mean over the batch of per-example squared L2 error."""
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
@@ -164,11 +164,11 @@ def _w2_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats)
     if prior_stats is None:
         if z_prior is None:
             raise ValueError("sampled prior statistics need a prior batch")
-        prior_stats = spectral.batch_stats(z_prior, unbiased=True)
+        prior_stats = spectral.batch_stats(z_prior)
     value, gm, gc = divergences.gaussian_w2_value_and_grad(
-        prior_stats, spectral.batch_stats(z, unbiased=True), W2Variant(cfg.w2_variant)
+        prior_stats, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
     )
-    d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc, unbiased=True)
+    d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc)
     return value, d_z, None, None
 
 
@@ -230,7 +230,7 @@ def loss_and_grads(
     out = encode(model.enc, x)
     z = reparameterize(out, eps)
     x_hat, dec_tape = _decode(model, z)
-    recon = _recon_error(x, x_hat)
+    recon = recon_error(x, x_hat)
     reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer](
         cfg, z, out, z_prior, prior_stats
     )

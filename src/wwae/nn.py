@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import Matrix, Rng
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass
@@ -94,8 +94,6 @@ class AdamState:
 def _apply_act(s: Matrix, act: str) -> Matrix:
     if act == "relu":
         return np.maximum(s, 0.0)
-    if act == "tanh":
-        return np.tanh(s)
     return s
 
 
@@ -103,8 +101,6 @@ def _act_backward(grad_a: Matrix, s: Matrix, act: str) -> Matrix:
     """Gradient w.r.t. the pre-activation s, given the one w.r.t. act(s)."""
     if act == "relu":
         return grad_a * (s > 0.0)  # subgradient at 0 is 0
-    if act == "tanh":
-        return grad_a * (1.0 - np.tanh(s) ** 2)
     return grad_a
 
 
@@ -131,13 +127,13 @@ def mlp_backward(
     params: MlpParams,
     tape: Tape,
     grad_y: Matrix,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[MlpParams, Optional[Matrix]]:
     """Exact gradients of <grad_y, output> w.r.t. parameters and input.
 
-    The parameter gradients are written into `out` (a fresh vector when it
-    is None) in the `flatten_params` layout and returned as views of it.
+    The parameter gradients are written into `out` in the `flatten_params`
+    layout and returned as views of it.
     With `input_grad=False` the input gradient is not computed and None is
     returned in its place.
     """
@@ -148,8 +144,6 @@ def mlp_backward(
         raise ValueError(
             f"grad shape {grad_y.shape} does not match output {tape.preacts[-1].shape}"
         )
-    if out is None:
-        out = np.empty(params.n_params())
     grads = param_views(out, params.widths, params.activations)
     grad_a = grad_y
     for i in reversed(range(len(params.weights))):

@@ -71,30 +71,30 @@ def eigh_psd(a: Matrix) -> EigenDecomp:
     return dec
 
 
-def sqrtm_from_eigh(dec: EigenDecomp, eps: float = EIG_CLAMP) -> Matrix:
-    """Symmetric PSD square root V diag(max(l, eps))^{1/2} V^T of a
+def sqrtm_from_eigh(dec: EigenDecomp) -> Matrix:
+    """Symmetric PSD square root V diag(max(l, EIG_CLAMP))^{1/2} V^T of a
     decomposed matrix."""
-    roots = np.sqrt(np.maximum(dec.eigenvalues, eps))
+    roots = np.sqrt(np.maximum(dec.eigenvalues, EIG_CLAMP))
     v = dec.eigenvectors
     return (v * roots) @ v.T
 
 
-def sqrtm_psd(a: Matrix, eps: float = EIG_CLAMP) -> Matrix:
-    """Symmetric PSD square root of a covariance; eigenvalues below eps are
-    clamped up to eps, and a matrix that is not PSD raises (see eigh_psd)."""
-    return sqrtm_from_eigh(eigh_psd(a), eps)
+def sqrtm_psd(a: Matrix) -> Matrix:
+    """Symmetric PSD square root of a covariance; eigenvalues are clamped up
+    to EIG_CLAMP, and a matrix that is not PSD raises (see eigh_psd)."""
+    return sqrtm_from_eigh(eigh_psd(a))
 
 
-def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix, eps: float = EIG_CLAMP) -> Matrix:
+def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix) -> Matrix:
     """Gradient of Trace(C A^{1/2}) with respect to symmetric PSD A, given
     A's decomposition from eigh_psd.
 
     With A = V L V^T and S = V^T sym(C) V, the gradient is
     V [S_ij / (sqrt(l_i) + sqrt(l_j))] V^T; denominators are clamped below
-    at 2*sqrt(eps) so rank-deficient A stays differentiable.
+    at 2*sqrt(EIG_CLAMP) so rank-deficient A stays differentiable.
     """
     roots = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    denom = np.maximum(roots[:, None] + roots[None, :], 2.0 * np.sqrt(eps))
+    denom = np.maximum(roots[:, None] + roots[None, :], 2.0 * np.sqrt(EIG_CLAMP))
     v = dec.eigenvectors
     c = np.asarray(c, dtype=np.float64)
     s = v.T @ (0.5 * (c + c.T)) @ v
@@ -104,19 +104,15 @@ def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix, eps: float = EIG_CLAMP) -> Mat
     return 0.5 * (g + g.T)
 
 
-def batch_stats(z: Matrix, unbiased: bool = True) -> GaussStats:
-    """Sample mean and covariance of the rows of z.
-
-    The covariance divisor is n-1 when unbiased (metric convention) or n.
-    """
+def batch_stats(z: Matrix) -> GaussStats:
+    """Sample mean and unbiased (divisor n-1) covariance of the rows of z."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if n < 2:
         raise ValueError(f"batch_stats needs at least 2 rows, got {n}")
     mean = z.mean(axis=0)
     centered = z - mean
-    m = n - 1 if unbiased else n
-    cov = centered.T @ centered / m
+    cov = centered.T @ centered / (n - 1)
     return GaussStats(mean, cov)
 
 
@@ -124,12 +120,11 @@ def batch_stats_backward(
     z: Matrix,
     grad_mean: np.ndarray,
     grad_cov: Matrix,
-    unbiased: bool = True,
 ) -> Matrix:
     """Exact adjoint of batch_stats.
 
     Propagates <grad_mean, mean> + <grad_cov, cov> back to the rows:
-    d/dz_i = grad_mean/n + (2/m) sym(grad_cov) (z_i - mean).
+    d/dz_i = grad_mean/n + (2/(n-1)) sym(grad_cov) (z_i - mean).
     """
     z = np.asarray(z, dtype=np.float64)
     n, d = z.shape
@@ -139,7 +134,6 @@ def batch_stats_backward(
         raise ValueError(
             f"gradient shapes {grad_mean.shape}, {grad_cov.shape} do not match data dim {d}"
         )
-    m = n - 1 if unbiased else n
     centered = z - z.mean(axis=0)
     sym = 0.5 * (grad_cov + grad_cov.T)
-    return grad_mean / n + (2.0 / m) * centered @ sym
+    return grad_mean / n + (2.0 / (n - 1)) * centered @ sym

@@ -16,7 +16,7 @@ from wwae.cli import main
 from wwae.config import TrainConfig
 from wwae.data import Dataset, batches, load_dataset, make_blob_images, ring_centers
 from wwae.divergences import W2Variant, gaussian_w2
-from wwae.metrics import FeatureSet, fid, latent_report, latent_summary, pixel_pca_features
+from wwae.metrics import DeskFid, fid, latent_report, latent_summary
 from wwae.numerics import Rng
 from wwae.spectral import GaussStats, batch_stats, eigh_psd, grad_trace_sqrtm, sqrtm_psd
 
@@ -242,15 +242,11 @@ def test_criterion_6_image_training_beats_untrained_baseline():
     held = full.examples[4096:]
     state = models.init_train_state(cfg, train_ds.dim, train_ds.image_shape)
 
-    real_feats, basis = pixel_pca_features(held, None, k=32)
+    desk_fid = DeskFid(held, image_data=True)
 
     def evaluate():
-        gen = models.generate(state.model, root.split(6), 2048)
-        gen_feats, _ = pixel_pca_features(gen, basis)
-        score = fid(real_feats, gen_feats)
-        mse = float(
-            np.mean(np.sum((held - models.reconstruct(state.model, held)) ** 2, axis=1))
-        )
+        score = desk_fid.score(models.generate(state.model, root.split(6), 2048))
+        mse = models.recon_error(held, models.reconstruct(state.model, held))
         return score, mse
 
     fid_untrained, mse_untrained = evaluate()
@@ -278,18 +274,16 @@ def test_criterion_6_image_training_beats_untrained_baseline():
 
 def test_criterion_7_metric_sanity():
     started = time.monotonic()
-    f = FeatureSet(Rng(70).normal(200, 32))
-    self_fid = fid(f, FeatureSet(f.features.copy()))
+    f = Rng(70).normal(200, 32)
+    self_fid = fid(f, f.copy())
 
     full = make_blob_images(Rng(7), 2048)
     half_a, half_b = full.examples[:1024], full.examples[1024:]
-    feats_a, basis = pixel_pca_features(half_a, None, k=32)
-    feats_b, _ = pixel_pca_features(half_b, basis)
-    halves = fid(feats_a, feats_b)
+    desk_fid = DeskFid(half_a, image_data=True)
+    halves = desk_fid.score(half_b)
 
     perm = np.argsort(Rng(71).uniform(1, 784).ravel())  # fixed pixel permutation
-    shuffled, _ = pixel_pca_features(half_b[:, perm], basis)
-    scrambled = fid(feats_a, shuffled)
+    scrambled = desk_fid.score(half_b[:, perm])
     wall = time.monotonic() - started
 
     ok = self_fid == 0.0 and halves < scrambled and wall < 120.0

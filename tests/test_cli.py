@@ -341,6 +341,61 @@ class TestFid:
         assert (image_run["out"] / "fid_basis.bin").is_file()
 
 
+class TestEvaluationOnlyReads:
+    @pytest.fixture(scope="class")
+    def unevaluated_run(self, tmp_path_factory):
+        # 256 images trained with eval_every = 0: no fid_basis.bin is written
+        d = tmp_path_factory.mktemp("unevaluated")
+        ds = make_blob_images(Rng(5), 256)
+        ip = d / "blobs-images-idx3"
+        write_idx_images(ip, ds.examples, ds.image_shape)
+        cfg = write_cfg(
+            d / "run.cfg", dataset="idx", data_path=ip, limit=256, latent_dim=2,
+            enc_hidden="16", dec_hidden="16", batch_size=16, steps=20, seed=4,
+            eval_every=0, out_dir=d / "art",
+        )
+        assert main(["train", "--config", str(cfg)]) == 0
+        return {"data": ip, "out": d / "art", "ckpt": d / "art" / "model.ckpt"}
+
+    def test_commands_leave_the_run_directory_as_it_was(
+        self, unevaluated_run, tmp_path, capsys
+    ):
+        art = unevaluated_run["out"]
+        ckpt, data = str(unevaluated_run["ckpt"]), str(unevaluated_run["data"])
+        before = {p.name: p.read_bytes() for p in art.iterdir()}
+        assert "fid_basis.bin" not in before
+        fid_256 = ["fid", "--ckpt", ckpt, "--count", "256", "--seed", "2"]
+        assert main(fid_256) == 0
+        first = capsys.readouterr().out
+        for args in (
+            ["fid", "--ckpt", ckpt, "--count", "40", "--seed", "2"],
+            ["fid", "--ckpt", ckpt, "--data", data, "--count", "40"],
+            ["latent", "--ckpt", ckpt, "--out", str(tmp_path / "z.csv")],
+            ["reconstruct", "--ckpt", ckpt, "--data", data, "--count", "8",
+             "--out", str(tmp_path / "r.pgm")],
+            ["sample", "--ckpt", ckpt, "--count", "8", "--out", str(tmp_path / "s.pgm")],
+        ):
+            assert main(args) == 0
+        assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+        capsys.readouterr()
+        assert main(fid_256) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["reconstruct", "--count", "0", "--out", "r.pgm"],
+             "count must be positive, got 0"),
+            (["fid", "--count", "1"], "count must be at least 2, got 1"),
+        ],
+        ids=["reconstruct", "fid"],
+    )
+    def test_bad_count_is_one_error_line(self, unevaluated_run, capsys, args, message):
+        ckpt, data = str(unevaluated_run["ckpt"]), str(unevaluated_run["data"])
+        assert main([*args, "--ckpt", ckpt, "--data", data]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 class TestGradcheckCmd:
     def test_passes(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -5,8 +5,9 @@ from wwae import nn
 from wwae.data import Dataset, make_ring, ring_centers
 from wwae.images import write_points_csv
 from wwae.metrics import (
-    FeatureSet,
+    DeskFid,
     fid,
+    fit_pca_basis,
     latent_report,
     latent_summary,
     load_basis,
@@ -25,17 +26,17 @@ def four_point_sets():
     s, t = np.sqrt(1.5), np.sqrt(6.0)
     a = np.array([[s, 0.0], [-s, 0.0], [0.0, t], [0.0, -t]])
     b = np.array([[t, 0.0], [-t, 0.0], [0.0, s], [0.0, -s]]) + 1.0
-    return FeatureSet(a, "a"), FeatureSet(b, "b")
+    return a, b
 
 
 class TestFid:
     def test_identical_features_exactly_zero(self, rng):
-        f = FeatureSet(rng.normal(20, 5))
-        assert fid(f, FeatureSet(f.features.copy())) == 0.0
+        f = rng.normal(20, 5)
+        assert fid(f, f.copy()) == 0.0
 
     def test_exactly_symmetric(self, rng):
-        a = FeatureSet(rng.normal(40, 6))
-        b = FeatureSet(rng.normal(30, 6) * 2.0 + 0.5)
+        a = rng.normal(40, 6)
+        b = rng.normal(30, 6) * 2.0 + 0.5
         assert fid(a, b) == fid(b, a)
 
     def test_hand_value(self):
@@ -44,67 +45,91 @@ class TestFid:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="dimensions differ"):
-            fid(FeatureSet(rng.normal(5, 3)), FeatureSet(rng.normal(5, 4)))
+            fid(rng.normal(5, 3), rng.normal(5, 4))
 
 
 class TestPixelPca:
     def test_full_rank_preserves_distances(self, rng):
         x = rng.normal(30, 8)
-        feats, _ = pixel_pca_features(x, None, k=8)
+        feats = pixel_pca_features(x, fit_pca_basis(x, 8))
         dx = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-        df = np.linalg.norm(
-            feats.features[:, None] - feats.features[None, :], axis=2
-        )
+        df = np.linalg.norm(feats[:, None] - feats[None, :], axis=2)
         np.testing.assert_allclose(df, dx, atol=1e-8)
 
     def test_rank_one_data_captured_by_k1(self, rng):
         direction = rng.normal(1, 10)[0]
         coeffs = rng.normal(50, 1)
         x = coeffs @ direction[None, :] + 1e-4 * rng.normal(50, 10)
-        feats, _ = pixel_pca_features(x, None, k=1)
+        feats = pixel_pca_features(x, fit_pca_basis(x, 1))
         total = np.var(x - x.mean(0), axis=0).sum()
-        kept = np.var(feats.features - feats.features.mean(0), axis=0).sum()
+        kept = np.var(feats - feats.mean(0), axis=0).sum()
         assert kept / total >= 0.999
 
     def test_basis_orthonormal(self, rng):
-        _, basis = pixel_pca_features(rng.normal(40, 12), None, k=5)
+        basis = fit_pca_basis(rng.normal(40, 12), 5)
         np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-9)
 
     def test_sign_convention(self, rng):
-        _, basis = pixel_pca_features(rng.normal(40, 12), None, k=5)
+        basis = fit_pca_basis(rng.normal(40, 12), 5)
         for j in range(5):
             col = basis[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
-    def test_reused_basis_matches_fit_output(self, rng):
-        x = rng.normal(25, 6)
-        feats_fit, basis = pixel_pca_features(x, None, k=3)
-        feats_reuse, basis2 = pixel_pca_features(x, basis, k=3)
-        np.testing.assert_array_equal(feats_fit.features, feats_reuse.features)
-        assert basis2 is basis or np.array_equal(basis2, basis)
-
     def test_k_too_large(self, rng):
         with pytest.raises(ValueError, match="exceeds min"):
-            pixel_pca_features(rng.normal(4, 10), None, k=5)
+            fit_pca_basis(rng.normal(4, 10), 5)
 
     def test_basis_row_mismatch(self, rng):
         with pytest.raises(ValueError, match="do not match pixel count"):
-            pixel_pca_features(rng.normal(4, 10), np.eye(7), k=3)
+            pixel_pca_features(rng.normal(4, 10), np.eye(7))
 
     def test_non_matrix_input(self):
         with pytest.raises(ValueError, match="n x d"):
-            pixel_pca_features(np.zeros(5), None, k=1)
+            fit_pca_basis(np.zeros(5), 1)
+        with pytest.raises(ValueError, match="n x d"):
+            pixel_pca_features(np.zeros(5), np.eye(1))
+
+
+class TestDeskFid:
+    def test_reused_basis_matches_fit_output(self, rng):
+        x = rng.normal(25, 6)
+        fitted = DeskFid(x, image_data=True)
+        reused = DeskFid(x, image_data=True, basis=fitted.basis)
+        np.testing.assert_array_equal(fitted.real, reused.real)
+        assert reused.basis is fitted.basis
+
+    def test_image_basis_is_top_k_of_real_rows(self, rng):
+        x = rng.normal(50, 40)
+        desk = DeskFid(x, image_data=True)
+        np.testing.assert_array_equal(desk.basis, fit_pca_basis(x, 32))
+        np.testing.assert_array_equal(desk.real, pixel_pca_features(x, desk.basis))
+
+    def test_k_capped_by_rows(self, rng):
+        assert DeskFid(rng.normal(10, 40), image_data=True).basis.shape == (40, 10)
+
+    def test_score_in_the_fixed_space(self, rng):
+        x, g = rng.normal(40, 12), rng.normal(30, 12) + 0.5
+        basis = fit_pca_basis(rng.normal(40, 12), 4)
+        desk = DeskFid(x, image_data=True, basis=basis)
+        want = fid(pixel_pca_features(x, basis), pixel_pca_features(g, basis))
+        assert desk.score(g) == want
+
+    def test_point_data_uses_raw_coordinates(self, rng):
+        x, g = rng.normal(40, 2), rng.normal(30, 2) * 2.0
+        desk = DeskFid(x, image_data=False)
+        assert desk.basis is None
+        assert desk.score(g) == fid(x, g)
 
 
 class TestBasisFile:
     def test_roundtrip(self, rng, tmp_path):
-        _, basis = pixel_pca_features(rng.normal(30, 9), None, k=4)
+        basis = fit_pca_basis(rng.normal(30, 9), 4)
         p = tmp_path / "real.basis"
         save_basis(p, basis)
         np.testing.assert_array_equal(load_basis(p), basis)
 
     def test_failed_save_keeps_previous_file(self, rng, tmp_path, monkeypatch):
-        _, basis = pixel_pca_features(rng.normal(30, 9), None, k=4)
+        basis = fit_pca_basis(rng.normal(30, 9), 4)
         p = tmp_path / "real.basis"
         save_basis(p, basis)
         before = p.read_bytes()
@@ -126,7 +151,7 @@ class TestBasisFile:
             load_basis(p)
 
     def test_truncated(self, rng, tmp_path):
-        _, basis = pixel_pca_features(rng.normal(30, 9), None, k=4)
+        basis = fit_pca_basis(rng.normal(30, 9), 4)
         p = tmp_path / "real.basis"
         save_basis(p, basis)
         p.write_bytes(p.read_bytes()[:-4])
@@ -140,11 +165,10 @@ class TestBasisFile:
 
 class TestFeaturesCsv:
     def test_roundtrip_exact(self, rng, tmp_path):
-        f = FeatureSet(rng.normal(7, 3))
+        f = rng.normal(7, 3)
         p = tmp_path / "f.csv"
-        write_points_csv(p, f.features)
-        back = read_features_csv(p)
-        np.testing.assert_array_equal(back.features, f.features)
+        write_points_csv(p, f)
+        np.testing.assert_array_equal(read_features_csv(p), f)
 
     def test_no_header(self, rng, tmp_path):
         p = tmp_path / "f.csv"

@@ -123,13 +123,9 @@ class TestGradTraceSqrtm:
 
 class TestBatchStats:
     def test_hand_example(self):
-        s = batch_stats(np.array([[0.0, 0.0], [2.0, 0.0]]), unbiased=True)
+        s = batch_stats(np.array([[0.0, 0.0], [2.0, 0.0]]))
         np.testing.assert_array_equal(s.mean, [1.0, 0.0])
         np.testing.assert_array_equal(s.cov, [[2.0, 0.0], [0.0, 0.0]])
-
-    def test_biased_divisor(self):
-        s = batch_stats(np.array([[0.0, 0.0], [2.0, 0.0]]), unbiased=False)
-        np.testing.assert_array_equal(s.cov, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_identical_rows(self):
         s = batch_stats(np.ones((5, 3)))
@@ -156,24 +152,23 @@ class TestBatchStatsBackward:
     def test_mean_only_path(self):
         z = np.arange(8.0).reshape(4, 2)
         gm = np.array([2.0, -4.0])
-        out = batch_stats_backward(z, gm, np.zeros((2, 2)), unbiased=True)
+        out = batch_stats_backward(z, gm, np.zeros((2, 2)))
         np.testing.assert_allclose(out, np.tile(gm / 4.0, (4, 1)))
 
     def test_cov_identity_path(self):
         z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])  # centered
-        out = batch_stats_backward(z, np.zeros(2), np.eye(2), unbiased=True)
+        out = batch_stats_backward(z, np.zeros(2), np.eye(2))
         np.testing.assert_allclose(out, (2.0 / 3.0) * z)
 
-    @pytest.mark.parametrize("unbiased", [True, False])
-    def test_adjoint_matches_finite_differences(self, rng, unbiased):
+    def test_adjoint_matches_finite_differences(self, rng):
         n, d = 6, 3
         z = rng.normal(n, d)
         gm = rng.normal(d, 1).ravel()
         gc = rng.normal(d, d)
-        grad = batch_stats_backward(z, gm, gc, unbiased=unbiased)
+        grad = batch_stats_backward(z, gm, gc)
 
         def scalar(zz):
-            s = batch_stats(zz, unbiased=unbiased)
+            s = batch_stats(zz)
             return float(gm @ s.mean + (gc * s.cov).sum())
 
         h = 1e-6
@@ -188,7 +183,7 @@ class TestBatchStatsBackward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            batch_stats_backward(np.ones((4, 2)), np.ones(3), np.eye(2), True)
+            batch_stats_backward(np.ones((4, 2)), np.ones(3), np.eye(2))
 
 
 def test_gauss_stats_dim():
