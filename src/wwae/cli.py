@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -175,10 +175,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def _dataset_for(
     state: TrainState, data_path: Optional[str], limit: Optional[int] = None
 ) -> data.Dataset:
-    """The first `limit` rows of an explicit IDX path, else the whole training set."""
+    """The first `limit` rows (all when None) of an explicit IDX path, else of
+    the training set. Ring data is not prefix-stable, so it is built whole."""
     if data_path:
         return data.load_idx(data_path, data.derive_labels_path(data_path), limit)
     cfg = state.config
+    if cfg.dataset == "idx" and limit is not None:
+        cfg = replace(cfg, limit=min(limit, cfg.limit))
     return data.load_dataset(cfg, Rng(cfg.seed).split(3))
 
 

@@ -96,7 +96,9 @@ def load_idx(
     if limit is not None and limit <= 0:
         raise ValueError(f"limit must be positive, got {limit}")
     images_path = Path(images_path)
-    (_, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", limit)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", limit)
+    if count == 0:
+        raise ValueError(f"IDX file {images_path} holds no images")
     # One pass; the same bits as pixels.astype(np.float64) / 255.0.
     examples = np.divide(pixels, 255.0, dtype=np.float64)
     n = examples.shape[0]

@@ -37,12 +37,14 @@ def gaussian_w2_value_and_grad(
     exact 0. Only the q side carries gradients: in training, p holds the
     prior statistics, which do not depend on the model parameters. Value and
     gradient share one eigendecomposition of Sq (root_product) or of the
-    sandwich Sp^{1/2} Sq Sp^{1/2} (bures), besides the one of Sp.
+    sandwich Sp^{1/2} Sq Sp^{1/2} (bures), besides the one of Sp, which is
+    skipped when Sp is the identity.
     """
     if p.dim != q.dim or p.cov.shape != q.cov.shape:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     eye = np.eye(p.dim)
-    p_root = sqrtm_psd(p.cov)
+    # sqrtm_psd(I) is I bit for bit, so the exact prior needs no eigh.
+    p_root = eye if np.array_equal(p.cov, eye) else sqrtm_psd(p.cov)
     if variant is W2Variant.ROOT_PRODUCT:
         dec = eigh_psd(q.cov)
         cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))

@@ -242,7 +242,7 @@ def loss_and_grads(
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
     grads = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
-    _, d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=grads.dec)
+    d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=grads.dec)
 
     # The regularizer gradients are added only when weighted: at lam = 0
     # they hold zeros that would turn -0.0 into 0.0, or NaN from 0 * inf.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_first_gradient, parse_manifest, read_pgm
+from wwae import data as wwae_data
 from wwae import metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.cli import main
@@ -394,6 +395,46 @@ class TestEvaluationOnlyReads:
         ckpt, data = str(unevaluated_run["ckpt"]), str(unevaluated_run["data"])
         assert main([*args, "--ckpt", ckpt, "--data", data]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+    def test_training_data_reads_only_the_rows_used(
+        self, unevaluated_run, tmp_path, monkeypatch
+    ):
+        # without --data, an IDX run's training set is read up to --count
+        # rows; latent uses every row
+        shapes = []
+        load_idx = wwae_data.load_idx
+
+        def spy(*args, **kwargs):
+            ds = load_idx(*args, **kwargs)
+            shapes.append(ds.examples.shape)
+            return ds
+
+        monkeypatch.setattr(wwae_data, "load_idx", spy)
+        ckpt = str(unevaluated_run["ckpt"])
+        for args in (
+            ["reconstruct", "--count", "8", "--out", str(tmp_path / "r.pgm")],
+            ["fid", "--count", "40", "--seed", "2"],
+            ["latent", "--out", str(tmp_path / "z.csv")],
+        ):
+            assert main([*args, "--ckpt", ckpt]) == 0
+        assert shapes == [(8, 784), (40, 784), (256, 784)]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["reconstruct", "--out", "r.pgm"], ["fid"]],
+        ids=["reconstruct", "fid"],
+    )
+    def test_data_without_images_is_one_error_line(
+        self, unevaluated_run, tmp_path, capsys, args
+    ):
+        empty = tmp_path / "empty-images-idx3"
+        write_idx_images(empty, np.zeros((0, 784)), (28, 28))
+        ckpt = str(unevaluated_run["ckpt"])
+        assert main([*args, "--ckpt", ckpt, "--data", str(empty)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: IDX file {empty} holds no images"
+        ]
 
 
 class TestGradcheckCmd:

@@ -86,6 +86,13 @@ class TestLoadIdx:
         with pytest.raises(ValueError):
             load_idx(p, None, limit=0)
 
+    def test_no_images_rejected(self, tmp_path):
+        p = tmp_path / "empty-idx3"
+        write_idx_images(p, np.zeros((0, 4)), (2, 2))
+        for limit in (None, 5):
+            with pytest.raises(ValueError, match=f"IDX file {p} holds no images"):
+                load_idx(p, None, limit=limit)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_idx(tmp_path / "nope", None, limit=1)

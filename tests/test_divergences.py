@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, w2_1d_empirical
-from wwae import models, nn
+from wwae import models, nn, spectral
 from wwae.config import TrainConfig
 from wwae.divergences import (
     W2Variant,
@@ -169,6 +169,26 @@ class TestGaussianW2ValueAndGrad:
         assert gm.tobytes() == want_gm.tobytes()
         assert gc.tobytes() == want_gc.tobytes()
         assert gaussian_w2(p, q, variant) == value
+
+    @pytest.mark.parametrize("variant", BOTH)
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
+    def test_identity_prior_skips_its_root_and_no_bits(self, monkeypatch, variant, d):
+        # the identity prior takes I as its root without decomposing it;
+        # sqrtm_psd(I) is I bit for bit, so the result equals the one that
+        # takes the root, written out separately
+        assert sqrtm_psd(np.eye(d)).tobytes() == np.eye(d).tobytes()
+        p = GaussStats(np.zeros(d), np.eye(d))
+        q = batch_stats(0.5 + 2.0 * Rng(200 + d).normal(64, d))
+        calls = []
+        eigh = spectral.eigh
+        monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(a) or eigh(a))
+        value, gm, gc = gaussian_w2_value_and_grad(p, q, variant)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want_value, want_gm, want_gc = self.separate(p, q, variant)
+        assert value == want_value and value > 0.0
+        assert gm.tobytes() == want_gm.tobytes()
+        assert gc.tobytes() == want_gc.tobytes()
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_identical_stats_give_exact_zero(self, rng, variant):

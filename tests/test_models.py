@@ -333,17 +333,17 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("variant", ["root_product", "bures"])
     @pytest.mark.parametrize("prior", ["sampled", "exact"])
-    def test_w2_step_makes_two_eigh_calls(self, monkeypatch, variant, prior):
-        # one decomposition of the prior covariance and one of the codes'
-        # covariance (root_product) or of the sandwich (bures), shared by
-        # the value and the gradient
+    def test_w2_step_eigh_calls(self, monkeypatch, variant, prior):
+        # one decomposition of the codes' covariance (root_product) or of
+        # the sandwich (bures), shared by the value and the gradient, and
+        # one of the sampled prior covariance; the exact prior's is I
         calls = []
         eigh = spectral.eigh
         monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(a) or eigh(a))
         cfg = ring_config(w2_variant=variant, prior_stats=prior)
         state, ds = fresh_state(cfg)
         train_step(state, ds.examples[: cfg.batch_size])
-        assert len(calls) == 2
+        assert len(calls) == (1 if prior == "exact" else 2)
 
     def test_effective_lr_reported(self):
         cfg = ring_config(steps=2, decay_every=1, decay_factor=0.5, lr=0.004)

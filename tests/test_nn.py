@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwae.nn import (
+    ADAM_CHUNK,
     AdamState,
     MlpParams,
     adam_step,
@@ -19,6 +22,13 @@ from wwae.numerics import Rng
 
 def identity_layer(d):
     return MlpParams([np.eye(d)], [np.zeros(d)], ["identity"])
+
+
+def backward(p, tape, gy):
+    """mlp_backward into a fresh vector; its layer views and the input gradient."""
+    flat = np.empty(p.n_params())
+    gx = mlp_backward(p, tape, gy, out=flat)
+    return param_views(flat, p.widths, p.activations), gx
 
 
 class TestForward:
@@ -57,18 +67,39 @@ class TestBackward:
         x = Rng(9).normal(5, 3)
         gy = Rng(10).normal(5, 2)
         _, tape = mlp_forward(p, x)
-        g, gx = mlp_backward(p, tape, gy, out=np.empty(p.n_params()))
+        g, gx = backward(p, tape, gy)
         out = np.full(p.n_params() + 2, np.nan)
-        g2, none = mlp_backward(p, tape, gy, out=out[1:-1], input_grad=False)
+        none = mlp_backward(p, tape, gy, out=out[1:-1], input_grad=False)
+        g2 = param_views(out[1:-1], p.widths, p.activations)
         assert none is None and gx.shape == x.shape
         assert out[1:-1].tobytes() == flatten_params(g).tobytes()
         assert np.isnan(out[0]) and np.isnan(out[-1])
         assert all(np.shares_memory(w, out) for w in g2.weights + g2.biases)
 
+    def test_matches_per_layer_expressions_bit_for_bit(self):
+        p = init_params(Rng(11), [5, 7, 6, 3], ["relu", "relu", "identity"])
+        x = Rng(12).normal(9, 5)
+        gy = Rng(13).normal(9, 3)
+        _, tape = mlp_forward(p, x)
+        g, gx = backward(p, tape, gy)
+        grad_a = gy
+        for i in reversed(range(3)):
+            ds = grad_a * (tape.preacts[i] > 0.0) if i < 2 else grad_a
+            assert g.weights[i].tobytes() == (ds.T @ tape.inputs[i]).tobytes()
+            assert g.biases[i].tobytes() == np.sum(ds, axis=0).tobytes()
+            grad_a = ds @ p.weights[i]
+        assert gx.tobytes() == grad_a.tobytes()
+
+    def test_wrong_gradient_length(self):
+        p = init_params(Rng(8), [3, 4, 2], ["relu", "identity"])
+        y, tape = mlp_forward(p, Rng(9).normal(5, 3))
+        with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
+            mlp_backward(p, tape, y, out=np.empty(p.n_params() + 1))
+
     def test_zero_grad(self):
         p = identity_layer(3)
         y, tape = mlp_forward(p, np.ones((2, 3)))
-        g, gx = mlp_backward(p, tape, np.zeros_like(y), out=np.empty(p.n_params()))
+        g, gx = backward(p, tape, np.zeros_like(y))
         assert all(np.all(w == 0.0) for w in g.weights)
         assert all(np.all(b == 0.0) for b in g.biases)
         np.testing.assert_array_equal(gx, np.zeros((2, 3)))
@@ -79,7 +110,7 @@ class TestBackward:
         x = np.array([[1.0, -1.0], [2.0, 0.5]])
         y, tape = mlp_forward(p, x)
         gy = np.array([[1.0, 0.0], [0.0, 1.0]])
-        g, gx = mlp_backward(p, tape, gy, out=np.empty(p.n_params()))
+        g, gx = backward(p, tape, gy)
         np.testing.assert_allclose(g.weights[0], gy.T @ x)
         np.testing.assert_allclose(g.biases[0], gy.sum(axis=0))
         np.testing.assert_allclose(gx, gy @ w)
@@ -90,7 +121,7 @@ class TestBackward:
         x = rng.normal(3, 4)
         gy = rng.normal(3, 2)
         _, tape = mlp_forward(p, x)
-        g, gx = mlp_backward(p, tape, gy, out=np.empty(p.n_params()))
+        g, gx = backward(p, tape, gy)
 
         def scalar(params):
             y, _ = mlp_forward(params, x)
@@ -172,19 +203,23 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), [0.0, 0.0], np.ones(2))
 
-    def test_matches_allocating_formula_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "size", [1, 1000, ADAM_CHUNK, 3 * ADAM_CHUNK + 17], ids=["1", "1000", "chunk", "3chunks+17"]
+    )
+    def test_matches_allocating_formula_bit_for_bit(self, size):
         # the textbook update with temporaries, as the optimizer read before
-        # it updated in place; 50 steps cross two decay boundaries
+        # it updated in place and in blocks; 50 steps cross two decay
+        # boundaries
         kw = dict(lr=0.01, beta1=0.5, beta2=0.9, decay_every=20, decay_factor=0.5)
         s = AdamState(**kw)
         ref = AdamState(**kw)
         rng = Rng(21)
-        p = rng.normal(1, 1000).ravel()
+        p = rng.normal(1, size).ravel()
         want = p.copy()
         m = v = np.zeros_like(p)
         lrs = set()
         for _ in range(50):
-            g = rng.normal(1, 1000).ravel() * np.exp(rng.normal(1, 1000).ravel())
+            g = rng.normal(1, size).ravel() * np.exp(rng.normal(1, size).ravel())
             lr = ref.effective_lr()
             lrs.add(lr)
             ref.t += 1
@@ -197,6 +232,31 @@ class TestAdam:
         assert len(lrs) == 3 and s.t == 50
         assert p.tobytes() == want.tobytes()
         assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
+
+    def test_scratch_is_one_block(self):
+        # a 437k-value vector (the criterion-6 image model's size) allocates
+        # its two moments on the first step and at most a block of scratch
+        n = 437_000
+        params, grads = np.zeros(n), np.ones(n)
+        s = AdamState()
+        tracemalloc.start()
+        try:
+            adam_step(s, params, grads)
+            kept, first_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            adam_step(s, params, grads)
+            later_peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        moments = s.m.nbytes + s.v.nbytes
+        assert kept - moments < 1 << 20
+        assert first_peak - moments < 1 << 20
+        assert later_peak < 1 << 20
+        assert all(a.size == ADAM_CHUNK for a in s._scratch)
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError, match="must be a vector"):
+            adam_step(AdamState(), np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_first_step_hand_value(self):
         s = AdamState(lr=0.1, beta1=0.9, beta2=0.999)
