@@ -26,20 +26,10 @@ class W2Variant(enum.Enum):
     BURES = "bures"
 
 
-def gaussian_w2_value_and_grad(
-    p: GaussStats, q: GaussStats, variant: W2Variant
-) -> tuple[float, np.ndarray, Matrix]:
-    """Squared Wasserstein-2 distance between Gaussian statistics, and its
-    gradients with respect to q's mean and covariance.
-
-    ||mu_p - mu_q||^2 + Tr(Sp) + Tr(Sq) - 2 * cross(Sp, Sq). Tiny negative
-    values from rounding are clamped to 0, and identical statistics give an
-    exact 0. Only the q side carries gradients: in training, p holds the
-    prior statistics, which do not depend on the model parameters. Value and
-    gradient share one eigendecomposition of Sq (root_product) or of the
-    sandwich Sp^{1/2} Sq Sp^{1/2} (bures), besides the one of Sp, which is
-    skipped when Sp is the identity.
-    """
+def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant):
+    """The `gaussian_w2` value, the root of Sp, and the eigendecomposition of
+    Sq (root_product) or of Sp^{1/2} Sq Sp^{1/2} (bures) that the gradient
+    shares with the value."""
     if p.dim != q.dim or p.cov.shape != q.cov.shape:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     eye = np.eye(p.dim)
@@ -48,23 +38,38 @@ def gaussian_w2_value_and_grad(
     if variant is W2Variant.ROOT_PRODUCT:
         dec = eigh_psd(q.cov)
         cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))
-        grad_cov = eye - grad_trace_sqrtm(dec, 2.0 * p_root)
     else:
         dec = eigh_psd(p_root @ q.cov @ p_root)
         cross = float(np.trace(sqrtm_from_eigh(dec)))
-        grad_cov = eye - 2.0 * p_root @ grad_trace_sqrtm(dec, eye) @ p_root
     if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov):
-        value = 0.0  # no rounding residue
-    else:
-        value = float(np.sum((p.mean - q.mean) ** 2))
-        value += float(np.trace(p.cov) + np.trace(q.cov))
-        value = max(value - 2.0 * cross, 0.0)
-    return value, 2.0 * (q.mean - p.mean), grad_cov
+        return 0.0, p_root, dec  # no rounding residue
+    value = float(np.sum((p.mean - q.mean) ** 2))
+    value += float(np.trace(p.cov) + np.trace(q.cov))
+    return max(value - 2.0 * cross, 0.0), p_root, dec
 
 
 def gaussian_w2(p: GaussStats, q: GaussStats, variant: W2Variant) -> float:
-    """Squared Wasserstein-2 distance between Gaussian statistics."""
-    return gaussian_w2_value_and_grad(p, q, variant)[0]
+    """Squared Wasserstein-2 distance between Gaussian statistics:
+    ||mu_p - mu_q||^2 + Tr(Sp) + Tr(Sq) - 2 * cross(Sp, Sq). Tiny negative
+    values from rounding are clamped to 0, and identical statistics give an
+    exact 0."""
+    return _gaussian_w2_parts(p, q, variant)[0]
+
+
+def gaussian_w2_value_and_grad(
+    p: GaussStats, q: GaussStats, variant: W2Variant
+) -> tuple[float, np.ndarray, Matrix]:
+    """`gaussian_w2` and its gradients with respect to q's mean and
+    covariance, from the same eigendecompositions. Only the q side carries
+    gradients: in training, p holds the prior statistics, which do not
+    depend on the model parameters."""
+    value, p_root, dec = _gaussian_w2_parts(p, q, variant)
+    eye = np.eye(p.dim)
+    if variant is W2Variant.ROOT_PRODUCT:
+        grad_cov = eye - grad_trace_sqrtm(dec, 2.0 * p_root)
+    else:
+        grad_cov = eye - 2.0 * p_root @ grad_trace_sqrtm(dec, eye) @ p_root
+    return value, 2.0 * (q.mean - p.mean), grad_cov
 
 
 def _imq_kernel_matrix(a: Matrix, b: Matrix, c: float) -> Matrix:

@@ -52,19 +52,21 @@ class Model:
     theta: Optional[np.ndarray] = None
 
 
-def arena_model(
-    theta: np.ndarray,
-    enc_shape: tuple[list[int], list[str]],
-    dec_shape: tuple[list[int], list[str]],
-    latent_dim: int,
-    output_activation: str,
-) -> Model:
-    """A model whose networks, given as (widths, activations), are views of
-    the float64 vector `theta`."""
-    n_enc = nn.n_params(enc_shape[0])
-    enc = nn.param_views(theta[:n_enc], *enc_shape)
-    dec = nn.param_views(theta[n_enc:], *dec_shape)
-    return Model(enc, dec, latent_dim, output_activation, theta)
+def net_widths(cfg: TrainConfig, data_dim: int) -> tuple[list[int], list[int]]:
+    """Encoder and decoder layer widths; the encoder ends in mean and
+    log-variance heads of latent_dim each."""
+    ell = cfg.latent_dim
+    return [data_dim, *cfg.enc_hidden, 2 * ell], [ell, *cfg.dec_hidden, data_dim]
+
+
+def arena_model(theta: np.ndarray, cfg: TrainConfig, data_dim: int, image_data: bool) -> Model:
+    """The model the config describes for this data, with its networks as
+    views of the float64 vector `theta`."""
+    enc_widths, dec_widths = net_widths(cfg, data_dim)
+    n_enc = nn.n_params(enc_widths)
+    enc = nn.param_views(theta[:n_enc], enc_widths)
+    dec = nn.param_views(theta[n_enc:], dec_widths)
+    return Model(enc, dec, cfg.latent_dim, "sigmoid" if image_data else "identity", theta)
 
 
 @dataclass
@@ -95,21 +97,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> Model:
-    ell = cfg.latent_dim
-    enc_widths = [data_dim, *cfg.enc_hidden, 2 * ell]
-    enc_acts = ["relu"] * len(cfg.enc_hidden) + ["identity"]
-    dec_widths = [ell, *cfg.dec_hidden, data_dim]
-    dec_acts = ["relu"] * len(cfg.dec_hidden) + ["identity"]
-    enc = nn.init_params(rng, enc_widths, enc_acts)
-    dec = nn.init_params(rng, dec_widths, dec_acts)
-    theta = np.concatenate([nn.flatten_params(enc), nn.flatten_params(dec)])
-    return arena_model(
-        theta,
-        (enc_widths, enc_acts),
-        (dec_widths, dec_acts),
-        ell,
-        "sigmoid" if image_data else "identity",
-    )
+    nets = [nn.init_params(rng, widths) for widths in net_widths(cfg, data_dim)]
+    theta = np.concatenate([nn.flatten_params(net) for net in nets])
+    return arena_model(theta, cfg, data_dim, image_data)
 
 
 def encode(params: nn.MlpParams, x: Matrix) -> EncoderOut:
@@ -131,7 +121,7 @@ def _decode(model: Model, z: Matrix) -> tuple[Matrix, nn.Tape]:
     if model.output_activation == "sigmoid":
         # 1 / (1 + exp(-y)), operation for operation, in place. This
         # overwrites the output layer's pre-activation in the tape, which
-        # is safe only because that layer is the identity: its backward
+        # is safe only because that layer is linear: its backward
         # never reads the pre-activation.
         np.negative(y, out=y)
         np.exp(y, out=y)
@@ -272,22 +262,28 @@ class TrainState:
     image_shape: Optional[tuple[int, int]]
 
 
-def init_train_state(
-    cfg: TrainConfig, data_dim: int, image_shape: Optional[tuple[int, int]]
-) -> TrainState:
-    root = Rng(cfg.seed)
-    model = build_model(cfg, data_dim, root.split(2), image_shape is not None)
-    adam = nn.AdamState(
+def adam_state(cfg: TrainConfig, t: int = 0) -> nn.AdamState:
+    """The optimizer the config describes, `t` steps in, moments not yet
+    allocated."""
+    return nn.AdamState(
         lr=cfg.lr,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
         decay_every=cfg.decay_every,
         decay_factor=cfg.decay_factor,
+        t=t,
     )
+
+
+def init_train_state(
+    cfg: TrainConfig, data_dim: int, image_shape: Optional[tuple[int, int]]
+) -> TrainState:
+    root = Rng(cfg.seed)
+    model = build_model(cfg, data_dim, root.split(2), image_shape is not None)
     return TrainState(
         config=cfg,
         model=model,
-        adam=adam,
+        adam=adam_state(cfg),
         rng=root.split(1),
         data_rng=root.split(0),
         step=0,

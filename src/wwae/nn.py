@@ -2,6 +2,9 @@
 reverse-mode backward, parameter flattening, He/Xavier init, and Adam with
 stepwise learning-rate decay.
 
+Activations follow position: every layer but the last is ReLU and the last
+is linear, so a stack is fully described by its widths.
+
 No autodiff graph: the model topology is fixed (one encoder, one decoder),
 so each forward returns the tape its backward needs.
 """
@@ -15,7 +18,6 @@ import numpy as np
 
 from .numerics import Matrix, Rng
 
-ACTIVATIONS = ("relu", "identity")
 # float64 values per Adam block: 256 KiB per array, about 1.5 MiB for the
 # six arrays one block touches, so a block stays in a 2 MiB per-core L2.
 ADAM_CHUNK = 32_768
@@ -23,7 +25,7 @@ ADAM_CHUNK = 32_768
 
 @dataclass
 class MlpParams:
-    """Ordered (weight, bias) pairs with one activation name per layer.
+    """Ordered (weight, bias) pairs; hidden layers are ReLU, the last linear.
 
     weights[i] has shape (out_i, in_i); biases[i] has shape (out_i,).
     Layer widths chain: in_{i+1} == out_i.
@@ -31,14 +33,10 @@ class MlpParams:
 
     weights: list[Matrix]
     biases: list[np.ndarray]
-    activations: list[str]
 
     def __post_init__(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
+        if len(self.weights) != len(self.biases):
             raise ValueError("layer lists must have equal length")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
         for i in range(len(self.weights) - 1):
             if self.weights[i + 1].shape[1] != self.weights[i].shape[0]:
                 raise ValueError(
@@ -95,19 +93,6 @@ class AdamState:
         return self.lr * self.decay_factor ** (self.t // self.decay_every)
 
 
-def _apply_act(s: Matrix, act: str) -> Matrix:
-    if act == "relu":
-        return np.maximum(s, 0.0)
-    return s
-
-
-def _act_backward(grad_a: Matrix, s: Matrix, act: str) -> Matrix:
-    """Gradient w.r.t. the pre-activation s, given the one w.r.t. act(s)."""
-    if act == "relu":
-        return grad_a * (s > 0.0)  # subgradient at 0 is 0
-    return grad_a
-
-
 def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
     """Apply the network to a batch of rows; returns output and tape."""
     x = np.asarray(x, dtype=np.float64)
@@ -118,12 +103,13 @@ def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
         )
     inputs, preacts = [], []
     a = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(a)
         s = a @ w.T
         s += b
         preacts.append(s)
-        a = _apply_act(s, act)
+        a = s if i == last else np.maximum(s, 0.0)
     return a, Tape(inputs, preacts)
 
 
@@ -151,36 +137,33 @@ def mlp_backward(
             f"expected {params.n_params()} values for widths {params.widths}, "
             f"got {out.size}"
         )
-    grad_a = grad_y
+    ds = grad_y  # the last layer is linear
     end = out.size  # layer i's weights and bias end here, walking back
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
         mid = end - w.shape[0]
         start = mid - w.size
-        ds = _act_backward(grad_a, tape.preacts[i], params.activations[i])
         np.matmul(ds.T, tape.inputs[i], out=out[start:mid].reshape(w.shape))
         np.add.reduce(ds, axis=0, out=out[mid:end])
-        grad_a = ds @ w if i > 0 or input_grad else None
+        if i == 0:
+            return ds @ w if input_grad else None
+        ds = (ds @ w) * (tape.preacts[i - 1] > 0.0)  # ReLU subgradient at 0 is 0
         end = start
-    return grad_a
 
 
-def init_params(rng: Rng, widths: list[int], activations: list[str]) -> MlpParams:
-    """He init for relu layers, Xavier (Glorot) otherwise; zero biases."""
-    if len(activations) != len(widths) - 1:
-        raise ValueError("need one activation per layer")
+def init_params(rng: Rng, widths: list[int]) -> MlpParams:
+    """He init for the ReLU layers, Xavier (Glorot) for the last; zero biases."""
     weights, biases = [], []
-    for i, act in enumerate(activations):
-        fan_in, fan_out = widths[i], widths[i + 1]
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         if fan_in < 1 or fan_out < 1:
             raise ValueError(f"layer widths must be positive, got {widths}")
-        if act == "relu":
+        if i < len(widths) - 2:
             std = np.sqrt(2.0 / fan_in)
         else:
             std = np.sqrt(2.0 / (fan_in + fan_out))
         weights.append(rng.normal(fan_out, fan_in) * std)
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, list(activations))
+    return MlpParams(weights, biases)
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:
@@ -191,7 +174,7 @@ def flatten_params(params: MlpParams) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def param_views(flat: np.ndarray, widths: list[int], activations: list[str]) -> MlpParams:
+def param_views(flat: np.ndarray, widths: list[int]) -> MlpParams:
     """Weights and biases as reshaped views of `flat`, in `flatten_params`
     order: writing to a layer writes to `flat`, and the reverse."""
     weights, biases = [], []
@@ -205,7 +188,7 @@ def param_views(flat: np.ndarray, widths: list[int], activations: list[str]) -> 
         pos += fan_out
     if pos != flat.size:
         raise ValueError(f"expected {pos} values for widths {widths}, got {flat.size}")
-    return MlpParams(weights, biases, list(activations))
+    return MlpParams(weights, biases)
 
 
 def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
@@ -213,7 +196,7 @@ def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
     flat = np.array(flat, dtype=np.float64)
     if flat.size != like.n_params():
         raise ValueError(f"expected {like.n_params()} values, got {flat.size}")
-    return param_views(flat, like.widths, like.activations)
+    return param_views(flat, like.widths)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:

@@ -268,6 +268,22 @@ class TestSample:
         assert "count must be positive" in capsys.readouterr().err
 
 
+    def test_sigmoid_header_on_ring_run_is_one_error_line(self, ring_run, tmp_path, capsys):
+        # a ring run decodes with a linear output; a header that claims a
+        # sigmoid would squash every point into (0, 1)
+        magic, header, payload = ring_run["ckpt"].read_bytes().split(b"\n", 2)
+        manifest = dict(json.loads(header), output_activation="sigmoid")
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        rc = main(["sample", "--ckpt", str(ckpt), "--count", "10",
+                   "--out", str(tmp_path / "pts.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint header values")
+        assert "output_activation" in err[0]
+        assert not (tmp_path / "pts.csv").exists()
+
+
 class TestReconstruct:
     def test_ring_csv(self, ring_run, tmp_path, capsys):
         out = tmp_path / "rec.csv"

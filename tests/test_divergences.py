@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, w2_1d_empirical
-from wwae import models, nn, spectral
+from wwae import divergences, models, nn, spectral
 from wwae.config import TrainConfig
 from wwae.divergences import (
     W2Variant,
@@ -191,6 +191,23 @@ class TestGaussianW2ValueAndGrad:
         assert gc.tobytes() == want_gc.tobytes()
 
     @pytest.mark.parametrize("variant", BOTH)
+    @pytest.mark.parametrize("prior", ["sampled", "exact"])
+    def test_value_alone_builds_no_gradient(self, monkeypatch, variant, prior):
+        rng = Rng(300)
+        p = batch_stats(rng.normal(64, 4)) if prior == "sampled" else GaussStats(np.zeros(4), np.eye(4))
+        q = batch_stats(0.5 + 2.0 * rng.normal(64, 4))
+        want = gaussian_w2_value_and_grad(p, q, variant)[0]
+        calls = []
+        monkeypatch.setattr(
+            divergences, "grad_trace_sqrtm", lambda *a: calls.append(a) or grad_trace_sqrtm(*a)
+        )
+        value = gaussian_w2(p, q, variant)
+        assert calls == []
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        gaussian_w2_value_and_grad(p, q, variant)
+        assert len(calls) == 1  # the spy sees the gradient's call
+
+    @pytest.mark.parametrize("variant", BOTH)
     def test_identical_stats_give_exact_zero(self, rng, variant):
         p = random_stats(rng, 6)
         value, gm, _ = gaussian_w2_value_and_grad(p, GaussStats(p.mean.copy(), p.cov.copy()), variant)
@@ -202,9 +219,7 @@ def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
     """The KL regularizer of one example whose encoder heads output mu and
     logvar, through `models.encode` (which clamps) and the table entry."""
     ell = len(mu)
-    enc = nn.MlpParams(
-        [np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])], ["identity"]
-    )
+    enc = nn.MlpParams([np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])])
     out = models.encode(enc, np.zeros((1, 1)))
     cfg = TrainConfig(regularizer="kl", latent_dim=ell)
     return models.REGULARIZERS["kl"](cfg, out.mu, out, None, None)[0]

@@ -223,7 +223,7 @@ class TestModeCoverage:
 class TestLatentReport:
     def zero_encoder(self, d, ell):
         w = np.zeros((2 * ell, d))
-        return nn.MlpParams([w], [np.zeros(2 * ell)], ["identity"])
+        return nn.MlpParams([w], [np.zeros(2 * ell)])
 
     def test_zero_encoder_codes_are_noise(self, rng):
         ds = make_ring(Rng(5).split(3), 512, sigma=0.1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -54,7 +55,7 @@ def fresh_state(cfg):
 
 class TestEncode:
     def test_zero_weight_net(self):
-        p = nn.MlpParams([np.zeros((4, 3))], [np.zeros(4)], ["identity"])
+        p = nn.MlpParams([np.zeros((4, 3))], [np.zeros(4)])
         out = encode(p, np.ones((2, 3)))
         np.testing.assert_array_equal(out.mu, np.zeros((2, 2)))
         np.testing.assert_array_equal(out.logvar, np.zeros((2, 2)))
@@ -62,14 +63,14 @@ class TestEncode:
     def test_head_split_hand_values(self):
         # single linear layer: first half of outputs = mu, second = logvar
         w = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
-        p = nn.MlpParams([w], [np.zeros(4)], ["identity"])
+        p = nn.MlpParams([w], [np.zeros(4)])
         out = encode(p, np.array([[3.0, -1.0]]))
         np.testing.assert_array_equal(out.mu, [[3.0, -1.0]])
         np.testing.assert_array_equal(out.logvar, [[6.0, -2.0]])
 
     def test_logvar_clamped(self):
         w = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
-        p = nn.MlpParams([w], [np.zeros(4)], ["identity"])
+        p = nn.MlpParams([w], [np.zeros(4)])
         out = encode(p, np.array([[5.0, 0.0]]))
         np.testing.assert_array_equal(out.logvar, [[30.0, -30.0]])
 
@@ -104,8 +105,8 @@ class TestReparameterize:
 
 def linear_model(enc_w, enc_b, dec_w, dec_b) -> Model:
     """One identity layer each way, with the given weights and biases."""
-    enc = nn.MlpParams([np.array(enc_w, float)], [np.array(enc_b, float)], ["identity"])
-    dec = nn.MlpParams([np.array(dec_w, float)], [np.array(dec_b, float)], ["identity"])
+    enc = nn.MlpParams([np.array(enc_w, float)], [np.array(enc_b, float)])
+    dec = nn.MlpParams([np.array(dec_w, float)], [np.array(dec_b, float)])
     return Model(enc, dec, np.shape(dec_w)[1], "identity")
 
 
@@ -189,8 +190,15 @@ class TestBuildModel:
         m = build_model(cfg, data_dim=7, rng=Rng(1), image_data=False)
         assert m.enc.widths == [7, 8, 4, 6]  # 2 * latent_dim heads
         assert m.dec.widths == [3, 5, 7]
-        assert m.enc.activations == ["relu", "relu", "identity"]
-        assert m.dec.activations == ["relu", "identity"]
+        # Zero weights and biases of -1: a ReLU hidden layer passes on 0,
+        # and the linear output layer gives its bias.
+        for net in (m.enc, m.dec):
+            for w, b in zip(net.weights, net.biases):
+                w[...] = 0.0
+                b[...] = -1.0
+            y, tape = nn.mlp_forward(net, np.ones((1, net.widths[0])))
+            assert all(np.all(a == 0.0) for a in tape.inputs[1:])
+            np.testing.assert_array_equal(y, -np.ones((1, net.widths[-1])))
         assert m.output_activation == "identity"
 
     def test_image_flag_selects_sigmoid(self):
@@ -219,7 +227,7 @@ class TestArena:
         m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
         rng = Rng(1)
         for net in (m.enc, m.dec):
-            ref = nn.init_params(rng, net.widths, net.activations)
+            ref = nn.init_params(rng, net.widths)
             assert nn.flatten_params(ref).tobytes() == nn.flatten_params(net).tobytes()
 
     @pytest.mark.parametrize("reg", ["w2", "kl", "mmd"])
@@ -499,16 +507,25 @@ class TestCheckpoint:
 
         assert first + rest == uninterrupted()
 
-    @pytest.mark.parametrize("steps", [0, 12])
-    def test_save_load_save_is_byte_identical(self, tmp_path, steps):
+    @pytest.mark.parametrize(
+        "steps, image", [(0, False), (12, False), (0, True), (12, True)],
+        ids=["0", "12", "image-0", "image-12"],
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path, steps, image):
         cfg = ring_config(steps=steps)
-        state, ds = fresh_state(cfg)
-        stream = batches(ds, cfg.batch_size, state.data_rng)
+        if image:  # sigmoid output and an image shape
+            state = init_train_state(cfg, 16, (4, 4))
+            stream = itertools.repeat(Rng(5).uniform(cfg.batch_size, 16))
+        else:
+            state, ds = fresh_state(cfg)
+            stream = batches(ds, cfg.batch_size, state.data_rng)
         for _ in range(steps):
             train_step(state, next(stream))
         save_checkpoint(tmp_path / "a.ckpt", state)
-        save_checkpoint(tmp_path / "b.ckpt", load_checkpoint(tmp_path / "a.ckpt"))
+        back = load_checkpoint(tmp_path / "a.ckpt")
+        save_checkpoint(tmp_path / "b.ckpt", back)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert back.model.output_activation == ("sigmoid" if image else "identity")
 
     @staticmethod
     def checkpoint_with_header(path, edit):
@@ -521,7 +538,7 @@ class TestCheckpoint:
         path.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
         return path
 
-    @pytest.mark.parametrize("key", ["blocks", "enc", "dec", "config"])
+    @pytest.mark.parametrize("key", ["blocks", "enc", "dec", "config", "latent_dim", "adam_dec"])
     def test_header_without_key_rejected(self, tmp_path, key):
         p = self.checkpoint_with_header(tmp_path / "model.ckpt", lambda m: m.pop(key))
         with pytest.raises(ValueError, match=f"header lacks {key}"):
@@ -545,6 +562,8 @@ class TestCheckpoint:
         "widths-float": lambda m: m["dec"].update(widths=[2, 16.0, 2]),
         "widths-zero": lambda m: m["dec"].update(widths=[2, 0, 2]),
         "widths-short": lambda m: m["enc"].update(widths=[2]),
+        # a data width whose networks are too large to allocate
+        "widths-huge": lambda m: m["dec"].update(widths=[2, 16, 10**10]),
         "activations": lambda m: m["enc"].update(activations="relu"),
         "adam": lambda m: m.update(adam_enc=5, adam_dec=5),
         "image_shape": lambda m: m.update(image_shape=5),
@@ -559,6 +578,27 @@ class TestCheckpoint:
     def test_header_value_of_wrong_type_rejected(self, tmp_path, edit):
         p = self.checkpoint_with_header(tmp_path / "model.ckpt", edit)
         with pytest.raises(ValueError, match="checkpoint|config"):
+            load_checkpoint(p)
+
+    # Values of the right type that disagree with the networks and optimizer
+    # the header's config describes, and the key the error names.
+    INCONSISTENT = {
+        "sigmoid-on-ring": (lambda m: m.update(output_activation="sigmoid"), "output_activation"),
+        "bogus-output": (lambda m: m.update(output_activation="bogus"), "output_activation"),
+        "adam-lr": (
+            lambda m: [m[k].update(lr=0.5) for k in ("adam_enc", "adam_dec")], "adam_enc"
+        ),
+        "adam-t": (lambda m: [m[k].update(t=7) for k in ("adam_enc", "adam_dec")], "adam_enc"),
+        "linear-encoder": (
+            lambda m: m["enc"].update(activations=["identity", "identity"]), "enc"
+        ),
+        "config-width": (lambda m: m["config"].update(enc_hidden=[9]), "enc"),
+    }
+
+    @pytest.mark.parametrize("edit, key", INCONSISTENT.values(), ids=INCONSISTENT.keys())
+    def test_header_inconsistent_with_config_rejected(self, tmp_path, edit, key):
+        p = self.checkpoint_with_header(tmp_path / "model.ckpt", edit)
+        with pytest.raises(ValueError, match=f"built from its config: {key} is "):
             load_checkpoint(p)
 
     @staticmethod

@@ -21,14 +21,14 @@ from wwae.numerics import Rng
 
 
 def identity_layer(d):
-    return MlpParams([np.eye(d)], [np.zeros(d)], ["identity"])
+    return MlpParams([np.eye(d)], [np.zeros(d)])
 
 
 def backward(p, tape, gy):
     """mlp_backward into a fresh vector; its layer views and the input gradient."""
     flat = np.empty(p.n_params())
     gx = mlp_backward(p, tape, gy, out=flat)
-    return param_views(flat, p.widths, p.activations), gx
+    return param_views(flat, p.widths), gx
 
 
 class TestForward:
@@ -38,7 +38,8 @@ class TestForward:
         np.testing.assert_array_equal(y, x)
 
     def test_relu_layer(self):
-        p = MlpParams([np.eye(2)], [np.zeros(2)], ["relu"])
+        # identity weights around the hidden layer, so only its ReLU shows
+        p = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
         y, _ = mlp_forward(p, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(y, [[0.0, 2.0]])
 
@@ -48,7 +49,7 @@ class TestForward:
         b1 = np.array([0.5, -1.0])
         w2 = np.array([[1.0, 1.0]])
         b2 = np.array([0.25])
-        p = MlpParams([w1, w2], [b1, b2], ["relu", "identity"])
+        p = MlpParams([w1, w2], [b1, b2])
         x = np.array([[1.0, 2.0]])
         h = np.maximum(x @ w1.T + b1, 0.0)  # [max(-0.5,0), max(1,0)] = [0, 1]
         want = h @ w2.T + b2  # 1.25
@@ -63,21 +64,21 @@ class TestForward:
 
 class TestBackward:
     def test_writes_into_given_vector(self):
-        p = init_params(Rng(8), [3, 4, 2], ["relu", "identity"])
+        p = init_params(Rng(8), [3, 4, 2])
         x = Rng(9).normal(5, 3)
         gy = Rng(10).normal(5, 2)
         _, tape = mlp_forward(p, x)
         g, gx = backward(p, tape, gy)
         out = np.full(p.n_params() + 2, np.nan)
         none = mlp_backward(p, tape, gy, out=out[1:-1], input_grad=False)
-        g2 = param_views(out[1:-1], p.widths, p.activations)
+        g2 = param_views(out[1:-1], p.widths)
         assert none is None and gx.shape == x.shape
         assert out[1:-1].tobytes() == flatten_params(g).tobytes()
         assert np.isnan(out[0]) and np.isnan(out[-1])
         assert all(np.shares_memory(w, out) for w in g2.weights + g2.biases)
 
     def test_matches_per_layer_expressions_bit_for_bit(self):
-        p = init_params(Rng(11), [5, 7, 6, 3], ["relu", "relu", "identity"])
+        p = init_params(Rng(11), [5, 7, 6, 3])
         x = Rng(12).normal(9, 5)
         gy = Rng(13).normal(9, 3)
         _, tape = mlp_forward(p, x)
@@ -91,7 +92,7 @@ class TestBackward:
         assert gx.tobytes() == grad_a.tobytes()
 
     def test_wrong_gradient_length(self):
-        p = init_params(Rng(8), [3, 4, 2], ["relu", "identity"])
+        p = init_params(Rng(8), [3, 4, 2])
         y, tape = mlp_forward(p, Rng(9).normal(5, 3))
         with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
             mlp_backward(p, tape, y, out=np.empty(p.n_params() + 1))
@@ -106,7 +107,7 @@ class TestBackward:
 
     def test_linear_layer_grads(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        p = MlpParams([w], [np.zeros(2)], ["identity"])
+        p = MlpParams([w], [np.zeros(2)])
         x = np.array([[1.0, -1.0], [2.0, 0.5]])
         y, tape = mlp_forward(p, x)
         gy = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -117,7 +118,7 @@ class TestBackward:
 
     def test_three_layer_finite_differences(self):
         rng = Rng(3)
-        p = init_params(rng, [4, 5, 5, 2], ["relu", "relu", "identity"])
+        p = init_params(rng, [4, 5, 5, 2])
         x = rng.normal(3, 4)
         gy = rng.normal(3, 2)
         _, tape = mlp_forward(p, x)
@@ -152,8 +153,7 @@ class TestBackward:
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_flatten_unflatten_bijection(widths, seed):
-    acts = ["relu"] * (len(widths) - 2) + ["identity"]
-    p = init_params(Rng(seed), widths, acts)
+    p = init_params(Rng(seed), widths)
     q = unflatten_params(flatten_params(p), p)
     for a, b in zip(p.weights, q.weights):
         np.testing.assert_array_equal(a, b)
@@ -162,15 +162,15 @@ def test_flatten_unflatten_bijection(widths, seed):
 
 
 def test_unflatten_copies_and_views_alias():
-    p = init_params(Rng(2), [3, 4, 2], ["relu", "identity"])
+    p = init_params(Rng(2), [3, 4, 2])
     flat = flatten_params(p)
     q = unflatten_params(flat, p)
     assert not any(np.shares_memory(w, flat) for w in q.weights + q.biases)
-    views = param_views(flat, p.widths, p.activations)
+    views = param_views(flat, p.widths)
     views.weights[1][0, 0] = 7.0
     assert flat[4 * 3 + 4] == 7.0
     with pytest.raises(ValueError):
-        param_views(flat[:-1], p.widths, p.activations)
+        param_views(flat[:-1], p.widths)
 
 
 def test_unflatten_wrong_size():
@@ -181,12 +181,8 @@ def test_unflatten_wrong_size():
 
 def test_mlp_params_validation():
     with pytest.raises(ValueError):
-        MlpParams([np.eye(2)], [np.zeros(2)], ["plu"])
-    with pytest.raises(ValueError):
         # 2-wide output feeding a 3-wide input
-        MlpParams(
-            [np.eye(2), np.zeros((1, 3))], [np.zeros(2), np.zeros(1)], ["relu", "identity"]
-        )
+        MlpParams([np.eye(2), np.zeros((1, 3))], [np.zeros(2), np.zeros(1)])
 
 
 class TestAdam:
@@ -290,23 +286,21 @@ class TestAdam:
 
 class TestInit:
     def test_same_seed_identical(self):
-        a = init_params(Rng(5), [3, 4, 2], ["relu", "identity"])
-        b = init_params(Rng(5), [3, 4, 2], ["relu", "identity"])
+        a = init_params(Rng(5), [3, 4, 2])
+        b = init_params(Rng(5), [3, 4, 2])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_biases_zero(self):
-        p = init_params(Rng(5), [3, 4, 2], ["relu", "identity"])
+        p = init_params(Rng(5), [3, 4, 2])
         for b in p.biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
     def test_he_scale(self):
-        p = init_params(Rng(6), [256, 256], ["relu"])
+        p = init_params(Rng(6), [256, 256, 256])  # the first layer is ReLU
         want = np.sqrt(2.0 / 256)
         assert abs(p.weights[0].std() - want) < 0.15 * want
 
     def test_bad_widths(self):
         with pytest.raises(ValueError):
-            init_params(Rng(1), [2, 0], ["relu"])
-        with pytest.raises(ValueError):
-            init_params(Rng(1), [2, 2], ["relu", "relu"])
+            init_params(Rng(1), [2, 0])
