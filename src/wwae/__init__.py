@@ -7,7 +7,7 @@ evaluation on fixed PCA-of-pixels features.
 """
 
 from .config import TrainConfig, load_config
-from .divergences import W2Variant, gaussian_w2, mmd_imq
+from .divergences import W2Variant, gaussian_w2, mmd_imq_value_and_grad
 from .numerics import Rng
 from .spectral import GaussStats, batch_stats, sqrtm_psd
 
@@ -18,7 +18,7 @@ __all__ = [
     "load_config",
     "W2Variant",
     "gaussian_w2",
-    "mmd_imq",
+    "mmd_imq_value_and_grad",
     "Rng",
     "GaussStats",
     "batch_stats",

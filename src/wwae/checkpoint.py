@@ -94,7 +94,11 @@ def _state_from_header(manifest: dict) -> TrainState:
     ):
         raise ValueError("checkpoint image_shape must be null or two positive ints")
     data_dim = int(_read(manifest, "dec")["widths"][-1])
+    if shape is not None and shape[0] * shape[1] != data_dim:
+        raise ValueError(f"checkpoint image_shape {shape} does not fit {data_dim}-value rows")
     step = int(_read(manifest, "step"))
+    if step < 0:
+        raise ValueError(f"checkpoint step must be >= 0, got {step}")
     n = sum(nn.n_params(widths) for widths in net_widths(cfg, data_dim))
     adam = adam_state(cfg, t=step)
     if step > 0:  # the moments exist from the first optimizer step on

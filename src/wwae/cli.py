@@ -79,13 +79,12 @@ def _write_sample_artifact(
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     root = Rng(cfg.seed)
     dataset = data.load_dataset(cfg, root.split(3))
     state = models.init_train_state(cfg, dataset.dim, dataset.image_shape)
     stream = data.batches(dataset, cfg.batch_size, state.data_rng)
+    out_dir = Path(cfg.out_dir)  # made only once the data loads
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(config=config_lines(cfg))
     log_every = cfg.eval_every if cfg.eval_every > 0 else 100

@@ -1,5 +1,8 @@
 """Distribution discrepancies: closed-form Gaussian W2 (two cross-term
 variants) with its analytic gradient, and IMQ-kernel MMD with its gradient.
+Training makes one call per penalty that returns the value and its gradient
+together, so the two share their eigendecompositions (W2) or kernel matrices
+(MMD); `gaussian_w2` is the value-only entry that FID uses.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -72,21 +75,20 @@ def gaussian_w2_value_and_grad(
     return value, 2.0 * (q.mean - p.mean), grad_cov
 
 
-def _imq_kernel_matrix(a: Matrix, b: Matrix, c: float) -> Matrix:
-    sq = (
-        np.sum(a**2, axis=1)[:, None]
-        + np.sum(b**2, axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
+def _imq_kernel(a: Matrix, a_sq: np.ndarray, b: Matrix, b_sq: np.ndarray, c: float) -> Matrix:
+    """k(a_i, b_j) = C / (C + ||a_i - b_j||^2), given the squared row norms."""
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * a @ b.T
     np.maximum(sq, 0.0, out=sq)
     return c / (c + sq)
 
 
-def mmd_imq(x: Matrix, y: Matrix, scale_c: float = 1.0) -> float:
-    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel.
+def mmd_imq_value_and_grad(x: Matrix, y: Matrix, scale_c: float = 1.0) -> tuple[float, Matrix]:
+    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel, and
+    its gradient with respect to the rows of y (x held fixed).
 
     Kernel k(a, b) = C / (C + ||a - b||^2) with C = scale_c * 2 * d, the
-    standard-normal-prior convention.
+    standard-normal-prior convention. Each kernel matrix is built once; the
+    gradient reuses kyy and kxy from the value.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -96,30 +98,17 @@ def mmd_imq(x: Matrix, y: Matrix, scale_c: float = 1.0) -> float:
     if scale_c <= 0:
         raise ValueError(f"scale_c must be positive, got {scale_c}")
     c = scale_c * 2.0 * x.shape[1]
-    kxx = _imq_kernel_matrix(x, x, c)
-    kyy = _imq_kernel_matrix(y, y, c)
-    kxy = _imq_kernel_matrix(x, y, c)
+    x_sq, y_sq = np.sum(x**2, axis=1), np.sum(y**2, axis=1)
+    kxx = _imq_kernel(x, x_sq, x, x_sq, c)
+    kyy = _imq_kernel(y, y_sq, y, y_sq, c)
+    kxy = _imq_kernel(x, x_sq, y, y_sq, c)
     term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
     term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     cross = 2.0 * kxy.sum() / (n * m)
-    return float(term_x + term_y - cross)
 
-
-def mmd_imq_grad_y(x: Matrix, y: Matrix, scale_c: float = 1.0) -> Matrix:
-    """Gradient of mmd_imq with respect to the rows of y (x held fixed)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, m = x.shape[0], y.shape[0]
-    c = scale_c * 2.0 * x.shape[1]
-
-    kyy = _imq_kernel_matrix(y, y, c)
     w_yy = kyy**2 / c  # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C
     np.fill_diagonal(w_yy, 0.0)
-    diff_sum_y = w_yy.sum(axis=1)[:, None] * y - w_yy @ y
-    grad = (-4.0 / (m * (m - 1))) * diff_sum_y
-
-    kxy = _imq_kernel_matrix(x, y, c)
+    grad = (-4.0 / (m * (m - 1))) * (w_yy.sum(axis=1)[:, None] * y - w_yy @ y)
     w_xy = kxy**2 / c
-    diff_sum_x = w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x
-    grad += (4.0 / (n * m)) * diff_sum_x
-    return grad
+    grad += (4.0 / (n * m)) * (w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x)
+    return float(term_x + term_y - cross), grad

@@ -176,8 +176,8 @@ def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats
     """IMQ-kernel MMD between the prior batch and the codes."""
     if z_prior is None:
         raise ValueError("mmd regularizer needs a prior batch")
-    value = divergences.mmd_imq(z_prior, z, cfg.mmd_scale)
-    return value, cfg.lam * divergences.mmd_imq_grad_y(z_prior, z, cfg.mmd_scale), None, None
+    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale)
+    return value, cfg.lam * grad, None, None
 
 
 REGULARIZERS = {"w2": _w2_term, "kl": _kl_term, "mmd": _mmd_term}

@@ -113,10 +113,20 @@ class TestTrain:
             ("enc_hidden", "0", "enc_hidden must be all >= 1, got 0"),
             ("dec_hidden", "8,-2", "dec_hidden must be all >= 1, got 8,-2"),
             ("seed", "-1", "seed must be >= 0, got -1"),
+            # valid configs whose data fails to load or to fill a batch
+            ("limit", "1", "need at least 8 points, got 1"),
+            ("limit", "10", "batch_size 16 exceeds dataset size 10"),
+            ("dataset", "idx",
+             "[Errno 2] No such file or directory: 'missing-images-idx3'"),
         ],
     )
-    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, key, value, message):
-        values = {**RING_CFG, key: value, "out_dir": tmp_path / "out"}
+    def test_bad_value_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        monkeypatch.chdir(tmp_path)  # data_path is relative; ring runs ignore it
+        values = {
+            **RING_CFG, key: value, "data_path": "missing-images-idx3", "out_dir": tmp_path / "out"
+        }
         cfg = write_cfg(tmp_path / "bad.cfg", **values)
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -281,6 +291,22 @@ class TestSample:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: checkpoint header values")
         assert "output_activation" in err[0]
+        assert not (tmp_path / "pts.csv").exists()
+
+    def test_negative_step_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "z.cfg", **{**RING_CFG, "steps": 0}, out_dir=tmp_path / "a")
+        assert main(["train", "--config", str(cfg)]) == 0
+        magic, header, payload = (tmp_path / "a" / "model.ckpt").read_bytes().split(b"\n", 2)
+        manifest = json.loads(header)
+        manifest["step"] = manifest["adam_enc"]["t"] = manifest["adam_dec"]["t"] = -5
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        capsys.readouterr()
+        rc = main(["sample", "--ckpt", str(ckpt), "--count", "4",
+                   "--out", str(tmp_path / "pts.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: checkpoint step must be >= 0, got -5"]
         assert not (tmp_path / "pts.csv").exists()
 
 
@@ -518,6 +544,18 @@ class TestLatent:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: checkpoint")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_image_shape_of_other_width_is_one_error_line(self, image_run, tmp_path, capsys):
+        # a 28 x 28 run; a (20, 20) grid needs 400-value rows
+        magic, header, payload = image_run["ckpt"].read_bytes().split(b"\n", 2)
+        manifest = dict(json.loads(header), image_shape=[20, 20])
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: checkpoint image_shape [20, 20] does not fit 784-value rows"]
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_header_is_one_error_line(self, tmp_path, capsys):

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd, w2_1d_empirical
+from conftest import mmd_imq, mmd_imq_grad_y, random_spd, w2_1d_empirical
 from wwae import divergences, models, nn, spectral
 from wwae.config import TrainConfig
 from wwae.divergences import (
     W2Variant,
     gaussian_w2,
     gaussian_w2_value_and_grad,
-    mmd_imq,
-    mmd_imq_grad_y,
+    mmd_imq_value_and_grad,
 )
 from wwae.numerics import Rng
 from wwae.spectral import GaussStats, batch_stats, eigh_psd, grad_trace_sqrtm, sqrtm_psd
@@ -240,22 +239,26 @@ class TestKl:
         assert np.isfinite(v)
 
 
+def mmd_value(x, y, scale_c):
+    return mmd_imq_value_and_grad(x, y, scale_c)[0]
+
+
 class TestMmd:
     def test_hand_expansion(self):
         # two equal point sets, kernel C = 1: the unbiased U-statistic
         # evaluates to 2*(0.2) - (1/2)*(2 + 2*0.2) = -0.8
         x = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert abs(mmd_imq(x, x.copy(), scale_c=0.25) - (-0.8)) < 1e-12
+        assert abs(mmd_value(x, x.copy(), scale_c=0.25) - (-0.8)) < 1e-12
 
     def test_null_distribution_small(self):
         rng = Rng(11)
         x, y = rng.normal(500, 2), rng.normal(500, 2)
-        assert abs(mmd_imq(x, y, 1.0)) < 0.02
+        assert abs(mmd_value(x, y, 1.0)) < 0.02
 
     def test_unbiased_null_mean(self):
         rng = Rng(13)
         trials = np.array(
-            [mmd_imq(rng.normal(20, 2), rng.normal(20, 2), 1.0) for _ in range(200)]
+            [mmd_value(rng.normal(20, 2), rng.normal(20, 2), 1.0) for _ in range(200)]
         )
         se = trials.std(ddof=1) / np.sqrt(len(trials))
         assert abs(trials.mean()) <= 3.0 * se
@@ -263,14 +266,16 @@ class TestMmd:
     def test_preconditions(self):
         one = np.ones((1, 2))
         two = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            mmd_imq(one, two, 1.0)
-        with pytest.raises(ValueError):
-            mmd_imq(two, two, 0.0)
+        with pytest.raises(ValueError, match="at least 2 points per side, got 1, 2"):
+            mmd_imq_value_and_grad(one, two, 1.0)
+        with pytest.raises(ValueError, match="at least 2 points per side, got 2, 1"):
+            mmd_imq_value_and_grad(two, one, 1.0)
+        with pytest.raises(ValueError, match="scale_c must be positive, got 0.0"):
+            mmd_imq_value_and_grad(two, two, 0.0)
 
     def test_grad_y_matches_finite_differences(self, rng):
         x, y = rng.normal(6, 3), rng.normal(5, 3)
-        g = mmd_imq_grad_y(x, y, 1.0)
+        g = mmd_imq_value_and_grad(x, y, 1.0)[1]
         h = 1e-6
         for _ in range(20):
             i = int(rng.integers(0, 5, 1)[0])
@@ -278,8 +283,28 @@ class TestMmd:
             yp, ym = y.copy(), y.copy()
             yp[i, j] += h
             ym[i, j] -= h
-            fd = (mmd_imq(x, yp, 1.0) - mmd_imq(x, ym, 1.0)) / (2 * h)
+            fd = (mmd_value(x, yp, 1.0) - mmd_value(x, ym, 1.0)) / (2 * h)
             assert abs(g[i, j] - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+
+class TestMmdValueAndGrad:
+    SIZES = (2, 3, 64, 256)
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    @pytest.mark.parametrize("scale_c", [0.25, 1.0, 3.0])
+    def test_bit_equal_to_separate_calls(self, d, scale_c):
+        # the value and the gradient byte for byte against the separate
+        # calls that built kyy and kxy twice, for every pair of sizes and
+        # for y a copy of x
+        rng = Rng(1000 * d + int(4 * scale_c))
+        cases = [(rng.normal(n, d), rng.normal(m, d)) for n in self.SIZES for m in self.SIZES]
+        cases += [(x, x.copy()) for x in (rng.normal(n, d) for n in self.SIZES)]
+        for x, y in cases:
+            value, grad = mmd_imq_value_and_grad(x, y, scale_c)
+            assert type(value) is float
+            assert value == mmd_imq(x, y, scale_c)
+            assert grad.shape == y.shape
+            assert grad.tobytes() == mmd_imq_grad_y(x, y, scale_c).tobytes()
 
 
 class TestW21d:

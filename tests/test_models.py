@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wwae import config, models, nn, spectral
+from wwae import config, divergences, models, nn, spectral
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.config import TrainConfig
 from wwae.data import batches, load_dataset
@@ -311,6 +311,24 @@ class TestLossAndGrads:
             flats.add(grads.flat.tobytes())
         assert len(flats) == 1
 
+    def test_mmd_builds_each_kernel_matrix_once(self, monkeypatch):
+        # kxx, kyy and kxy once each; the separate value and gradient calls
+        # built kyy and kxy twice
+        calls = []
+        kernel = divergences._imq_kernel
+
+        def counted(a, a_sq, b, b_sq, c):
+            calls.append((a.shape[0], b.shape[0]))
+            return kernel(a, a_sq, b, b_sq, c)
+
+        monkeypatch.setattr(divergences, "_imq_kernel", counted)
+        cfg = ring_config(regularizer="mmd")
+        state, ds = fresh_state(cfg)
+        x = ds.examples[:6]
+        eps, z_prior = Rng(8).normal(6, 2), Rng(9).normal(5, 2)
+        loss_and_grads(state.model, cfg, x, eps, z_prior, None)
+        assert calls == [(5, 5), (6, 6), (5, 6)]
+
     def test_table_covers_every_configurable_regularizer(self):
         assert set(models.REGULARIZERS) == set(config.REGULARIZERS)
 
@@ -573,6 +591,24 @@ class TestCheckpoint:
         "step": lambda m: m.update(step=[1]),
         "rng": lambda m: m.update(rng=5),
     }
+
+    # Values of the right type that no saved state has, and the error each gives.
+    OUT_OF_RANGE = {
+        "negative-step": (
+            lambda m: [m.update(step=-5)] + [m[k].update(t=-5) for k in ("adam_enc", "adam_dec")],
+            "step must be >= 0, got -5",
+        ),
+        # ring rows have 2 values
+        "image_shape-width": (
+            lambda m: m.update(image_shape=[2, 2]), r"image_shape \[2, 2\] does not fit 2-value"
+        ),
+    }
+
+    @pytest.mark.parametrize("edit, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_header_value_out_of_range_rejected(self, tmp_path, edit, message):
+        p = self.checkpoint_with_header(tmp_path / "model.ckpt", edit)
+        with pytest.raises(ValueError, match=f"checkpoint {message}"):
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("edit", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
     def test_header_value_of_wrong_type_rejected(self, tmp_path, edit):
