@@ -190,8 +190,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.ckpt)
     x = _dataset_for(state, args.data, args.count).examples[: args.count]
     count = x.shape[0]
-    if count < 1:
-        raise ValueError(f"count must be positive, got {args.count}")
     x_hat = models.reconstruct(state.model, x)
     err = models.recon_error(x, x_hat)
     if state.image_shape is not None:
@@ -221,7 +219,7 @@ def cmd_fid(args: argparse.Namespace) -> int:
         state = load_checkpoint(args.ckpt)
         real = _dataset_for(state, args.data, args.count).examples[: args.count]
         if real.shape[0] < 2:
-            raise ValueError(f"count must be at least 2, got {args.count}")
+            raise ValueError(f"desk-FID needs at least 2 data rows, found {real.shape[0]}")
         # The basis written by `wwae train` when there is one; otherwise one
         # fitted on these rows and kept in memory: this command writes nothing.
         basis_path = Path(args.ckpt).parent / BASIS_NAME

@@ -5,6 +5,7 @@ file format. Unknown keys are fatal so sweep typos surface immediately.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,10 @@ class TrainConfig:
         return self.regularizer
 
     def validate(self) -> "TrainConfig":
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                key = _KEY_OF_FIELD.get(f.name, f.name)
+                raise ValueError(f"{key} must be finite, got {getattr(self, f.name)}")
         if self.dataset not in DATASETS:
             raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         if self.regularizer not in REGULARIZERS:
@@ -163,6 +168,13 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     }
 
 
+# The JSON value types each field type takes in a checkpoint header's config.
+# type() rather than isinstance(), since a bool is an int but not a count.
+_JSON_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "tuple[int, ...]": (list, tuple)
+}
+
+
 def config_from_dict(d: dict) -> TrainConfig:
     if not isinstance(d, dict):
         raise ValueError(f"config must be a mapping, got {type(d).__name__}")
@@ -171,5 +183,9 @@ def config_from_dict(d: dict) -> TrainConfig:
         key = _KEY_OF_FIELD.get(f.name, f.name)
         if key in d:
             v = d[key]
+            if type(v) not in _JSON_TYPES[f.type] or (
+                f.type.startswith("tuple") and any(type(part) is not int for part in v)
+            ):
+                raise ValueError(f"{key} must be of type {f.type}, got {v!r}")
             values[f.name] = tuple(v) if f.type.startswith("tuple") else v
     return TrainConfig(**values).validate()

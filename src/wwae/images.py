@@ -1,5 +1,7 @@
-"""Binary PGM export, sample-grid tiling, CSV writers and atomic file
-replacement.
+"""Binary PGM export, sample-grid tiling, CSV writers, atomic file
+replacement, and framed files (the checkpoint and the desk-FID basis): an
+ASCII magic line, a one-line JSON header, then raw little-endian float64
+blocks whose sizes the header gives.
 
 Uncompressed P5 keeps image artifacts byte-exact under fixed seeds, so
 golden-file tests can compare whole files.
@@ -9,14 +11,21 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import math
 import os
+import sys
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import IO, Any, Callable, Iterator, Optional
 
 import numpy as np
 
 from .numerics import Matrix
+
+# A framed file's float64 blocks by name, in file order, and what its layout
+# raises on a header value of the wrong type or size.
+Blocks = list[tuple[str, np.ndarray]]
+_HEADER_FAULTS = (TypeError, KeyError, IndexError, AttributeError, MemoryError, OverflowError)
 
 
 def to_bytes_image(img: Matrix) -> np.ndarray:
@@ -132,3 +141,53 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_framed(path: str | Path, magic: str, header_text: str, blocks: Blocks) -> None:
+    """Replace `path` with the magic line, the header line, then each block
+    as raw little-endian float64 in C order."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(f"{magic}\n{header_text}\n".encode("ascii"))
+        for _, block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
+
+
+def read_framed(
+    path: str | Path, magic: str, kind: str, layout: Callable[[Any, str], tuple[Any, Blocks]]
+) -> Any:
+    """Read what `write_framed` wrote. `layout(header, text)` turns the JSON
+    header into the result and the blocks to fill, or raises ValueError. The
+    file size is checked before any block is read into its array; every
+    error names the file `kind`."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{kind} not found: {path}")
+    with open(path, "rb") as fh:
+        line = fh.readline(len(magic) + 1).decode("ascii", errors="replace").rstrip("\n")
+        if line != magic:
+            raise ValueError(f"not a {kind} file (bad magic line {line!r})")
+        try:
+            text = fh.readline().decode("ascii").rstrip("\n")
+            result, blocks = layout(json.loads(text), text)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{kind} header is not a JSON line ({exc})") from None
+        except _HEADER_FAULTS as exc:
+            raise ValueError(
+                f"{kind} header has a value of the wrong type or size ({exc!r})"
+            ) from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, block in blocks:
+            if block.nbytes > left:
+                raise ValueError(
+                    f"{kind} truncated: block {name!r} needs {block.nbytes} bytes, "
+                    f"{left} left"
+                )
+            left -= block.nbytes
+        if left:
+            raise ValueError(f"{kind} has {left} trailing bytes")
+        for name, block in blocks:
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{kind} truncated while reading block {name!r}")
+    if sys.byteorder == "big":
+        for _, block in blocks:
+            block.byteswap(inplace=True)
+    return result

@@ -19,7 +19,7 @@ import numpy as np
 from . import divergences, spectral
 from .data import Dataset
 from .divergences import W2Variant
-from .images import atomic_open
+from .images import Blocks, read_framed, write_framed
 from .models import encode, reparameterize
 from .nn import MlpParams
 from .numerics import Matrix, Rng
@@ -103,34 +103,21 @@ class DeskFid:
 
 
 def save_basis(path: str | Path, basis: Matrix) -> None:
-    basis = np.asarray(basis, dtype=np.float64)
-    header = (
-        BASIS_MAGIC
-        + "\n"
-        + json.dumps({"rows": basis.shape[0], "cols": basis.shape[1]})
-        + "\n"
-    )
-    with atomic_open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(basis, dtype="<f8").tobytes())
+    rows, cols = np.shape(basis)
+    header = json.dumps({"rows": rows, "cols": cols})
+    write_framed(path, BASIS_MAGIC, header, [("basis", basis)])
+
+
+def _basis_layout(meta, text: str) -> tuple[Matrix, Blocks]:
+    shape = [meta.get(key) for key in ("rows", "cols")] if isinstance(meta, dict) else []
+    if not shape or not all(type(n) is int and n > 0 for n in shape):
+        raise ValueError(f"basis header needs rows and cols as ints > 0, got {text}")
+    basis = np.empty(shape)
+    return basis, [("basis", basis)]
 
 
 def load_basis(path: str | Path) -> Matrix:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"basis file not found: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-        if magic != BASIS_MAGIC:
-            raise ValueError(f"not a basis file (bad magic line {magic!r})")
-        meta = json.loads(fh.readline().decode("ascii"))
-        raw = fh.read()
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    if len(raw) != rows * cols * 8:
-        raise ValueError(
-            f"basis file truncated: expected {rows * cols * 8} bytes, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+    return read_framed(path, BASIS_MAGIC, "basis", _basis_layout)
 
 
 def read_features_csv(path: str | Path) -> Matrix:

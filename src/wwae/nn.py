@@ -132,23 +132,15 @@ def mlp_backward(
         raise ValueError(
             f"grad shape {grad_y.shape} does not match output {tape.preacts[-1].shape}"
         )
-    if out.size != params.n_params():
-        raise ValueError(
-            f"expected {params.n_params()} values for widths {params.widths}, "
-            f"got {out.size}"
-        )
+    grads = param_views(out, params.widths)
     ds = grad_y  # the last layer is linear
-    end = out.size  # layer i's weights and bias end here, walking back
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
-        mid = end - w.shape[0]
-        start = mid - w.size
-        np.matmul(ds.T, tape.inputs[i], out=out[start:mid].reshape(w.shape))
-        np.add.reduce(ds, axis=0, out=out[mid:end])
+        np.matmul(ds.T, tape.inputs[i], out=grads.weights[i])
+        np.add.reduce(ds, axis=0, out=grads.biases[i])
         if i == 0:
             return ds @ w if input_grad else None
         ds = (ds @ w) * (tape.preacts[i - 1] > 0.0)  # ReLU subgradient at 0 is 0
-        end = start
 
 
 def init_params(rng: Rng, widths: list[int]) -> MlpParams:
@@ -177,26 +169,25 @@ def flatten_params(params: MlpParams) -> np.ndarray:
 def param_views(flat: np.ndarray, widths: list[int]) -> MlpParams:
     """Weights and biases as reshaped views of `flat`, in `flatten_params`
     order: writing to a layer writes to `flat`, and the reverse."""
+    if min(widths) < 1:
+        raise ValueError(f"layer widths must be positive, got {widths}")
+    if flat.size != n_params(widths):
+        raise ValueError(
+            f"expected {n_params(widths)} values for widths {widths}, got {flat.size}"
+        )
     weights, biases = [], []
     pos = 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        if fan_in < 1 or fan_out < 1:
-            raise ValueError(f"layer widths must be positive, got {widths}")
         weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in))
         pos += fan_in * fan_out
         biases.append(flat[pos : pos + fan_out])
         pos += fan_out
-    if pos != flat.size:
-        raise ValueError(f"expected {pos} values for widths {widths}, got {flat.size}")
     return MlpParams(weights, biases)
 
 
 def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
     """A copy of `flat` shaped like `like`; it shares no memory with `flat`."""
-    flat = np.array(flat, dtype=np.float64)
-    if flat.size != like.n_params():
-        raise ValueError(f"expected {like.n_params()} values, got {flat.size}")
-    return param_views(flat, like.widths)
+    return param_views(np.array(flat, dtype=np.float64), like.widths)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:

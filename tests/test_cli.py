@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -383,6 +384,20 @@ class TestFid:
         assert capsys.readouterr().out == first
         assert (image_run["out"] / "fid_basis.bin").is_file()
 
+    @pytest.mark.parametrize(
+        "header",
+        ['[1]', '{"rows": 784}', '{"rows": 784, "cols": 0}', '{"rows": 784.5, "cols": 32}'],
+    )
+    def test_bad_basis_header_is_one_error_line(self, image_run, tmp_path, capsys, header):
+        run = tmp_path / "art"
+        shutil.copytree(image_run["out"], run)
+        basis = run / "fid_basis.bin"
+        magic, _, payload = basis.read_bytes().split(b"\n", 2)
+        basis.write_bytes(magic + b"\n" + header.encode() + b"\n" + payload)
+        assert main(["fid", "--ckpt", str(run / "model.ckpt"), "--count", "64"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: basis header needs rows and cols as ints > 0, got {header}"]
+
 
 class TestEvaluationOnlyReads:
     @pytest.fixture(scope="class")
@@ -437,6 +452,15 @@ class TestEvaluationOnlyReads:
         ckpt, data = str(unevaluated_run["ckpt"]), str(unevaluated_run["data"])
         assert main([*args, "--ckpt", ckpt, "--data", data]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_fid_on_one_image_names_the_rows_found(self, unevaluated_run, tmp_path, capsys):
+        one = tmp_path / "one-images-idx3"
+        ds = make_blob_images(Rng(6), 1)
+        write_idx_images(one, ds.examples, ds.image_shape)
+        ckpt = str(unevaluated_run["ckpt"])
+        assert main(["fid", "--ckpt", ckpt, "--data", str(one)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: desk-FID needs at least 2 data rows, found 1"]
 
 
     def test_training_data_reads_only_the_rows_used(
@@ -532,8 +556,9 @@ class TestLatent:
             {"enc": {"widths": [2, "8", 4], "activations": ["relu", "identity"]}},
             {"adam_enc": 5, "adam_dec": 5},
             {"image_shape": 5},
+            {"step": float("inf")},
         ],
-        ids=["enc", "widths", "adam", "image_shape"],
+        ids=["enc", "widths", "adam", "image_shape", "step"],
     )
     def test_wrong_type_in_header_is_one_error_line(self, ring_run, tmp_path, capsys, edit):
         magic, header, payload = ring_run["ckpt"].read_bytes().split(b"\n", 2)

@@ -108,6 +108,11 @@ def test_validation_rejects(bad):
         "enc_hidden = 16,0,8",
         "dec_hidden = -4",
         "seed = -1",
+        "lambda = nan",
+        "lambda = inf",
+        "lr = inf",
+        "mmd_scale = inf",
+        "decay_factor = inf",
     ],
 )
 def test_out_of_range_value_names_key(line):
@@ -123,7 +128,25 @@ def test_boundary_values_accepted():
     assert (cfg.seed, cfg.enc_hidden, cfg.dec_hidden) == (0, (1,), ())
 
 
-@pytest.mark.parametrize("key,value", [("enc_hidden", [8, 0]), ("dec_hidden", [-1]), ("seed", -3)])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("enc_hidden", [8, 0]),
+        ("dec_hidden", [-1]),
+        ("seed", -3),
+        # JSON values of another type than the field's
+        ("seed", 1.5),
+        ("limit", 64.0),
+        ("steps", True),
+        ("enc_hidden", [8, 2.0]),
+        ("dec_hidden", "8,8"),
+        ("lambda", "1"),
+        ("lr", None),
+        ("regularizer", 2),
+        ("lambda", float("nan")),
+        ("decay_factor", float("inf")),
+    ],
+)
 def test_checkpoint_config_validated(key, value):
     # checkpoint headers carry the config as a dict
     d = config_to_dict(TrainConfig())

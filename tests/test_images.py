@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_pgm
+from wwae.checkpoint import load_checkpoint, save_checkpoint
+from wwae.config import TrainConfig
 from wwae.images import (
     atomic_open,
     pair_grid,
@@ -11,6 +17,8 @@ from wwae.images import (
     write_pgm,
     write_points_csv,
 )
+from wwae.metrics import load_basis, save_basis
+from wwae.models import init_train_state, train_step
 from wwae.numerics import Rng
 
 
@@ -187,3 +195,57 @@ class TestAtomicOpen:
                 raise OSError("disk full")
         assert p.read_bytes() == b"old"
         assert list(tmp_path.iterdir()) == [p]
+
+
+# Scalars and punctuation that a header edit puts in place of JSON tokens.
+JSONISH = [b"0", b"-1", b"3", b"1.5", b"1e999", b"-1e999", b"NaN", b"Infinity", b"true",
+           b"null", b'"x"', b"[]", b"{}", b"[1]", b'{"a": 1}', b",", b":", b"[", b"}", b'"']
+JSON_TOKEN = re.compile(rb'-?[0-9][0-9.eE+-]*|"[^"]*"|true|false|null|[][{}:,]')
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """`raw` cut short, with bytes overwritten, or with 1-3 adjacent tokens
+    of its header line replaced by up to 3 JSON-ish tokens."""
+    how = draw(st.sampled_from(["cut", "overwrite", "header"]))
+    if how == "cut":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "overwrite":
+        new = draw(st.binary(min_size=1, max_size=8))
+        at = draw(st.integers(0, len(raw) - len(new)))
+        return raw[:at] + new + raw[at + len(new) :]
+    start = raw.index(b"\n") + 1
+    tokens = list(JSON_TOKEN.finditer(raw, start, raw.index(b"\n", start)))
+    first = draw(st.integers(0, len(tokens) - 1))
+    last = tokens[min(first + draw(st.integers(0, 2)), len(tokens) - 1)]
+    new = b"".join(draw(st.lists(st.sampled_from(JSONISH), max_size=3)))
+    return raw[: tokens[first].start()] + new + raw[last.end() :]
+
+
+class TestFramedFiles:
+    """Every damaged checkpoint or basis file either loads or is refused with
+    a ValueError; no other exception escapes the reader."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("framed")
+        cfg = TrainConfig(enc_hidden=(4,), dec_hidden=(4,), limit=64, batch_size=8)
+        state = init_train_state(cfg, 2, None)
+        train_step(state, Rng(1).normal(8, 2))  # so the moment blocks are filled
+        save_checkpoint(d / "model.ckpt", state)
+        save_basis(d / "fid_basis.bin", Rng(2).normal(6, 3))
+        return d
+
+    @pytest.mark.parametrize(
+        "name, load", [("model.ckpt", load_checkpoint), ("fid_basis.bin", load_basis)]
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_loads_or_is_refused(self, saved, name, load, data):
+        raw = (saved / name).read_bytes()
+        p = saved / f"damaged-{name}"
+        p.write_bytes(data.draw(damaged(raw)))
+        try:
+            load(p)
+        except (ValueError, FileNotFoundError):
+            pass

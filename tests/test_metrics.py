@@ -162,6 +162,32 @@ class TestBasisFile:
         with pytest.raises(FileNotFoundError):
             load_basis(tmp_path / "no.basis")
 
+    @pytest.mark.parametrize(
+        "header",
+        ['[1]', '{"rows": 9}', '{"rows": 9, "cols": 0}', '{"rows": 9.5, "cols": 4}',
+         '{"rows": true, "cols": 4}'],
+    )
+    def test_header_values_checked(self, rng, tmp_path, header):
+        p = tmp_path / "real.basis"
+        save_basis(p, fit_pca_basis(rng.normal(30, 9), 4))
+        magic, _, payload = p.read_bytes().split(b"\n", 2)
+        p.write_bytes(magic + b"\n" + header.encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="^basis header needs rows and cols as ints > 0"):
+            load_basis(p)
+
+    def test_header_not_json(self, tmp_path):
+        p = tmp_path / "real.basis"
+        p.write_bytes(b"WWAEBASIS 1\n{rows: 9}\n")
+        with pytest.raises(ValueError, match="^basis header is not a JSON line"):
+            load_basis(p)
+
+    def test_extra_byte_rejected(self, rng, tmp_path):
+        p = tmp_path / "real.basis"
+        save_basis(p, fit_pca_basis(rng.normal(30, 9), 4))
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="basis has 1 trailing bytes"):
+            load_basis(p)
+
 
 class TestFeaturesCsv:
     def test_roundtrip_exact(self, rng, tmp_path):

@@ -589,6 +589,12 @@ class TestCheckpoint:
         "config": lambda m: m.update(config=[]),
         "config-lr": lambda m: m["config"].update(lr="fast"),
         "step": lambda m: m.update(step=[1]),
+        "step-float": lambda m: m.update(step=0.0),
+        "step-inf": lambda m: m.update(step=float("inf")),
+        "step-bool": lambda m: m.update(step=False),
+        "config-seed": lambda m: m["config"].update(seed=1.5),
+        "config-limit": lambda m: m["config"].update(limit=64.0),
+        "config-lambda-nan": lambda m: m["config"].update({"lambda": float("nan")}),
         "rng": lambda m: m.update(rng=5),
     }
 

@@ -96,6 +96,8 @@ class TestBackward:
         y, tape = mlp_forward(p, Rng(9).normal(5, 3))
         with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
             mlp_backward(p, tape, y, out=np.empty(p.n_params() + 1))
+        with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
+            mlp_backward(p, tape, y, out=np.empty(p.n_params() - 1))
 
     def test_zero_grad(self):
         p = identity_layer(3)
