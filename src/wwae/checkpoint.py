@@ -2,10 +2,12 @@
 
 A checkpoint is a framed file (see `images`) whose JSON header `_header`
 renders from the state, and whose blocks are the parameter and Adam moment
-vectors in a fixed order. The loader rebuilds the state from the header's
-config, data width, step and RNG snapshots, and rejects a header that
-differs from the one it renders for that state. Loading a checkpoint and
-continuing training reproduces the uninterrupted run byte for byte.
+vectors in a fixed order. The header keeps the config as its config-file
+lines (`config.config_lines`). The loader parses them with the config-file
+parser, rebuilds the state from that config, the data width, the step and
+the RNG snapshots, and rejects a header that differs from the one it renders
+for that state. Loading a checkpoint and continuing training reproduces the
+uninterrupted run byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .config import config_from_dict, config_to_dict
+from .config import config_lines, parse_config_text
 from .images import Blocks, read_framed, write_framed
 from .models import TrainState, adam_state, arena_model, net_widths
 from .numerics import Rng
@@ -35,29 +37,18 @@ def _blocks(state: TrainState) -> Blocks:
     return list(zip(_BLOCKS, [theta[:n], theta[n:], m[:n], v[:n], m[n:], v[n:]]))
 
 
-def _net_dict(params: nn.MlpParams) -> dict:
-    widths = params.widths
-    return {"widths": widths, "activations": ["relu"] * (len(widths) - 2) + ["identity"]}
-
-
 def _header(state: TrainState) -> dict:
-    """The JSON header of a state's checkpoint. The two optimizer entries
-    and the per-network blocks predate the single optimizer and vectors;
-    the moment blocks are empty before the first optimizer step."""
-    model, adam = state.model, state.adam
-    settings = {
-        key: getattr(adam, key)
-        for key in ("lr", "beta1", "beta2", "eps", "decay_every", "decay_factor", "t")
-    }
+    """The JSON header of a state's checkpoint. The per-network blocks
+    predate the single vectors; the moment blocks are empty before the
+    first optimizer step."""
+    model = state.model
     return {
-        "config": config_to_dict(state.config),
+        "config": config_lines(state.config),
         "step": state.step,
         "latent_dim": model.latent_dim,
         "output_activation": model.output_activation,
-        "enc": _net_dict(model.enc),
-        "dec": _net_dict(model.dec),
-        "adam_enc": settings,
-        "adam_dec": settings,
+        "enc": {"widths": model.enc.widths},
+        "dec": {"widths": model.dec.widths},
         "rng": state.rng.state(),
         "data_rng": state.data_rng.state(),
         "image_shape": list(state.image_shape) if state.image_shape else None,
@@ -79,9 +70,11 @@ def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
     """The state that a header's config, data width, step and RNG snapshots
     describe, once the header is the one `_header` renders for it, and its
     blocks. Adam makes one step per training step, so its counter is the step."""
-    config = _read(manifest, "config")
+    lines = _read(manifest, "config")
+    if type(lines) is not list or not all(type(line) is str for line in lines):
+        raise ValueError("checkpoint config must be a list of 'key = value' lines")
     try:
-        cfg = config_from_dict(config)
+        cfg = parse_config_text("\n".join(lines))
     except ValueError as exc:
         raise ValueError(f"checkpoint config: {exc}") from None
     shape = _read(manifest, "image_shape")

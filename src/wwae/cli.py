@@ -331,7 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError, TrainingDiverged) as exc:
+    except (ValueError, FileNotFoundError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -159,33 +159,3 @@ def config_lines(cfg: TrainConfig) -> list[str]:
         key = _KEY_OF_FIELD.get(f.name, f.name)
         lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
     return lines
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        _KEY_OF_FIELD.get(f.name, f.name): getattr(cfg, f.name)
-        for f in dataclasses.fields(TrainConfig)
-    }
-
-
-# The JSON value types each field type takes in a checkpoint header's config.
-# type() rather than isinstance(), since a bool is an int but not a count.
-_JSON_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "tuple[int, ...]": (list, tuple)
-}
-
-
-def config_from_dict(d: dict) -> TrainConfig:
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a mapping, got {type(d).__name__}")
-    values = {}
-    for f in dataclasses.fields(TrainConfig):
-        key = _KEY_OF_FIELD.get(f.name, f.name)
-        if key in d:
-            v = d[key]
-            if type(v) not in _JSON_TYPES[f.type] or (
-                f.type.startswith("tuple") and any(type(part) is not int for part in v)
-            ):
-                raise ValueError(f"{key} must be of type {f.type}, got {v!r}")
-            values[f.name] = tuple(v) if f.type.startswith("tuple") else v
-    return TrainConfig(**values).validate()

@@ -125,10 +125,12 @@ def read_features_csv(path: str | Path) -> Matrix:
     if not path.is_file():
         raise FileNotFoundError(f"feature file not found: {path}")
     rows = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if line:
             rows.append([float(v) for v in line.split(",")])
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"feature file {path} line {lineno} is not finite: {line!r}")
     if not rows:
         raise ValueError(f"feature file is empty: {path}")
     return np.array(rows, dtype=np.float64)

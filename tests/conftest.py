@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,24 @@ def parse_manifest(text: str) -> RunManifest:
         elif section == "final":
             manifest.final.append(line)
     return manifest
+
+
+def edit_checkpoint_header(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit` applied to its JSON header."""
+    magic, header, payload = Path(src).read_bytes().split(b"\n", 2)
+    manifest = json.loads(header)
+    edit(manifest)
+    Path(dst).write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+    return dst
+
+
+def config_line(line):
+    """A checkpoint header edit that puts `line` in place of the config's
+    line for its key."""
+    key = line.split(" = ")[0]
+    return lambda m: m.update(
+        config=[line if old.split(" = ")[0] == key else old for old in m["config"]]
+    )
 
 
 def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,10 +1,15 @@
-import json
 import shutil
 
 import numpy as np
 import pytest
 
-from conftest import corrupt_first_gradient, parse_manifest, read_pgm
+from conftest import (
+    config_line,
+    corrupt_first_gradient,
+    edit_checkpoint_header,
+    parse_manifest,
+    read_pgm,
+)
 from wwae import data as wwae_data
 from wwae import metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
@@ -131,6 +136,16 @@ class TestTrain:
         cfg = write_cfg(tmp_path / "bad.cfg", **values)
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_network_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys):
+        # 10**15 hidden units need petabytes, far above a 2**47-byte address
+        # space, so the allocation fails at once and touches no memory
+        values = {**RING_CFG, "enc_hidden": 10**15, "out_dir": tmp_path / "out"}
+        cfg = write_cfg(tmp_path / "big.cfg", **values)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "out").exists()
 
     def test_zero_steps_writes_initial_checkpoint(self, tmp_path):
@@ -279,13 +294,23 @@ class TestSample:
         assert "count must be positive" in capsys.readouterr().err
 
 
+    def test_count_too_large_to_allocate_is_one_error_line(self, ring_run, tmp_path, capsys):
+        # 10**14 two-value codes are 1.6e15 bytes, far above a 2**47-byte
+        # address space, so the allocation fails at once and touches no memory
+        rc = main(["sample", "--ckpt", str(ring_run["ckpt"]), "--count", str(10**14),
+                   "--out", str(tmp_path / "pts.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "pts.csv").exists()
+
     def test_sigmoid_header_on_ring_run_is_one_error_line(self, ring_run, tmp_path, capsys):
         # a ring run decodes with a linear output; a header that claims a
         # sigmoid would squash every point into (0, 1)
-        magic, header, payload = ring_run["ckpt"].read_bytes().split(b"\n", 2)
-        manifest = dict(json.loads(header), output_activation="sigmoid")
-        ckpt = tmp_path / "edited.ckpt"
-        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        ckpt = edit_checkpoint_header(
+            ring_run["ckpt"], tmp_path / "edited.ckpt",
+            lambda m: m.update(output_activation="sigmoid"),
+        )
         rc = main(["sample", "--ckpt", str(ckpt), "--count", "10",
                    "--out", str(tmp_path / "pts.csv")])
         assert rc == 1
@@ -297,11 +322,9 @@ class TestSample:
     def test_negative_step_is_one_error_line(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "z.cfg", **{**RING_CFG, "steps": 0}, out_dir=tmp_path / "a")
         assert main(["train", "--config", str(cfg)]) == 0
-        magic, header, payload = (tmp_path / "a" / "model.ckpt").read_bytes().split(b"\n", 2)
-        manifest = json.loads(header)
-        manifest["step"] = manifest["adam_enc"]["t"] = manifest["adam_dec"]["t"] = -5
-        ckpt = tmp_path / "edited.ckpt"
-        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        ckpt = edit_checkpoint_header(
+            tmp_path / "a" / "model.ckpt", tmp_path / "edited.ckpt", lambda m: m.update(step=-5)
+        )
         capsys.readouterr()
         rc = main(["sample", "--ckpt", str(ckpt), "--count", "4",
                    "--out", str(tmp_path / "pts.csv")])
@@ -368,6 +391,16 @@ class TestFid:
         write_points_csv(p, np.zeros((3, 2)))
         assert main(["fid", "--features-a", str(p)]) == 1
         assert "needs both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,3", "3,inf", "-inf,1"])
+    def test_non_finite_feature_is_one_error_line(self, tmp_path, capsys, row):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        pa.write_text(f"1,2\n{row}\n4,5\n")
+        write_points_csv(pb, np.zeros((3, 2)))
+        assert main(["fid", "--features-a", str(pa), "--features-b", str(pb)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: feature file {pa} line 2 is not finite: {row!r}"
+        ]
 
     def test_no_inputs_rejected(self, capsys):
         assert main(["fid"]) == 1
@@ -553,30 +586,59 @@ class TestLatent:
         "edit",
         [
             {"enc": 5},
-            {"enc": {"widths": [2, "8", 4], "activations": ["relu", "identity"]}},
-            {"adam_enc": 5, "adam_dec": 5},
+            {"enc": {"widths": [2, "8", 4]}},
             {"image_shape": 5},
             {"step": float("inf")},
         ],
-        ids=["enc", "widths", "adam", "image_shape", "step"],
+        ids=["enc", "widths", "image_shape", "step"],
     )
     def test_wrong_type_in_header_is_one_error_line(self, ring_run, tmp_path, capsys, edit):
-        magic, header, payload = ring_run["ckpt"].read_bytes().split(b"\n", 2)
-        manifest = {**json.loads(header), **edit}
-        ckpt = tmp_path / "edited.ckpt"
-        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        ckpt = edit_checkpoint_header(
+            ring_run["ckpt"], tmp_path / "edited.ckpt", lambda m: m.update(edit)
+        )
         rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: checkpoint")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = 1.5", "checkpoint config: bad value for 'seed'"),
+            ("limit = 64.0", "checkpoint config: bad value for 'limit'"),
+            ("lambda = nan", "checkpoint config: lambda must be finite"),
+            ("enc_hidden = 9", "checkpoint header values do not match"),
+        ],
+        ids=["seed", "limit", "lambda", "enc_hidden"],
+    )
+    def test_bad_config_line_in_header_is_one_error_line(
+        self, ring_run, tmp_path, capsys, line, message
+    ):
+        ckpt = edit_checkpoint_header(ring_run["ckpt"], tmp_path / "edited.ckpt", config_line(line))
+        rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_checkpoint_of_older_format_is_one_error_line(self, ring_run, tmp_path, capsys):
+        # older checkpoints kept the config as a JSON object
+        ckpt = edit_checkpoint_header(
+            ring_run["ckpt"], tmp_path / "old.ckpt",
+            lambda m: m.update(config=dict(line.split(" = ", 1) for line in m["config"])),
+        )
+        rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: checkpoint config must be a list of 'key = value' lines"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_image_shape_of_other_width_is_one_error_line(self, image_run, tmp_path, capsys):
         # a 28 x 28 run; a (20, 20) grid needs 400-value rows
-        magic, header, payload = image_run["ckpt"].read_bytes().split(b"\n", 2)
-        manifest = dict(json.loads(header), image_shape=[20, 20])
-        ckpt = tmp_path / "edited.ckpt"
-        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        ckpt = edit_checkpoint_header(
+            image_run["ckpt"], tmp_path / "edited.ckpt", lambda m: m.update(image_shape=[20, 20])
+        )
         rc = main(["latent", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()

@@ -1,10 +1,17 @@
+import dataclasses
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wwae.config import (
+    DATASETS,
+    PRIOR_STATS,
+    REGULARIZERS,
+    W2_VARIANTS,
     TrainConfig,
-    config_from_dict,
     config_lines,
-    config_to_dict,
     load_config,
     parse_config_text,
 )
@@ -64,11 +71,50 @@ def test_echo_roundtrip():
     assert again == cfg
 
 
-def test_dict_roundtrip():
-    cfg = TrainConfig(latent_dim=4, dec_hidden=(9,), lr=0.125)
-    d = config_to_dict(cfg)
-    assert d["lambda"] == 1.0  # keyword-safe key name
-    assert config_from_dict(d) == cfg
+# Lines for known keys, each with a value that is mostly of its field's type
+# and range and sometimes junk, among a few lines of any text.
+_KEYS = [line.split(" = ")[0] for line in config_lines(TrainConfig())]
+_TYPES = dict(zip(_KEYS, (f.type for f in dataclasses.fields(TrainConfig))))
+_GOOD = {
+    "int": st.integers(0, 10**6).map(str),
+    "float": st.floats(0, 1, exclude_max=True).map(repr),
+    "tuple[int, ...]": st.lists(st.integers(1, 70), max_size=4).map(
+        lambda ws: ",".join(map(str, ws))
+    ),
+    "str": st.text(max_size=12),
+    "dataset": st.sampled_from(DATASETS),
+    "regularizer": st.sampled_from(REGULARIZERS),
+    "w2_variant": st.sampled_from(W2_VARIANTS),
+    "prior_stats": st.sampled_from(PRIOR_STATS),
+}
+_JUNK = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+    st.sampled_from(["", "true", "1_0", " 7 ", "0x10", "1,,2"]),
+)
+_KNOWN_LINE = st.tuples(st.sampled_from(_KEYS), st.integers(0, 5)).flatmap(
+    lambda kj: st.builds(
+        "{} = {}".format,
+        st.just(kj[0]),
+        _JUNK if kj[1] == 0 else _GOOD.get(kj[0], _GOOD[_TYPES[kj[0]]]),
+    )
+)
+_ANY_LINE = st.builds("{} = {}".format, st.text(max_size=8), _JUNK) | st.text(max_size=16)
+_TEXTS = st.builds(
+    operator.add, st.lists(_KNOWN_LINE, max_size=10), st.lists(_ANY_LINE, max_size=1)
+).flatmap(st.permutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_any_text_is_rejected_or_echoes_back_equal(lines):
+    # checkpoint headers keep the config as its echo lines
+    try:
+        cfg = parse_config_text("\n".join(lines))
+    except ValueError:
+        return
+    assert parse_config_text("\n".join(config_lines(cfg))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -129,30 +175,27 @@ def test_boundary_values_accepted():
 
 
 @pytest.mark.parametrize(
-    "key,value",
+    "line",
     [
-        ("enc_hidden", [8, 0]),
-        ("dec_hidden", [-1]),
-        ("seed", -3),
-        # JSON values of another type than the field's
-        ("seed", 1.5),
-        ("limit", 64.0),
-        ("steps", True),
-        ("enc_hidden", [8, 2.0]),
-        ("dec_hidden", "8,8"),
-        ("lambda", "1"),
-        ("lr", None),
-        ("regularizer", 2),
-        ("lambda", float("nan")),
-        ("decay_factor", float("inf")),
+        "enc_hidden = 8,0",
+        "dec_hidden = -1",
+        "seed = -3",
+        "seed = 1.5",
+        "limit = 64.0",
+        "steps = true",
+        "enc_hidden = 8,2.0",
+        "lr = ",
+        "regularizer = 2",
+        "lambda = nan",
+        "decay_factor = inf",
     ],
 )
-def test_checkpoint_config_validated(key, value):
-    # checkpoint headers carry the config as a dict
-    d = config_to_dict(TrainConfig())
-    d[key] = value
-    with pytest.raises(ValueError, match=f"^{key}"):
-        config_from_dict(d)
+def test_checkpoint_config_validated(line):
+    # checkpoint headers keep the config as its echo lines; one of them edited
+    key = line.split(" = ")[0]
+    lines = [line if old.split(" = ")[0] == key else old for old in config_lines(TrainConfig())]
+    with pytest.raises(ValueError, match=f"^(bad value for '{key}'|{key} must)"):
+        parse_config_text("\n".join(lines))
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,10 +1,10 @@
 import itertools
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import config_line, edit_checkpoint_header
 from wwae import config, divergences, models, nn, spectral
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.config import TrainConfig
@@ -550,13 +550,9 @@ class TestCheckpoint:
         """A fresh ring checkpoint whose JSON header `edit` has changed."""
         state, _ = fresh_state(ring_config())
         save_checkpoint(path, state)
-        magic, header, payload = path.read_bytes().split(b"\n", 2)
-        manifest = json.loads(header)
-        edit(manifest)
-        path.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
-        return path
+        return edit_checkpoint_header(path, path, edit)
 
-    @pytest.mark.parametrize("key", ["blocks", "enc", "dec", "config", "latent_dim", "adam_dec"])
+    @pytest.mark.parametrize("key", ["blocks", "enc", "dec", "config", "latent_dim"])
     def test_header_without_key_rejected(self, tmp_path, key):
         p = self.checkpoint_with_header(tmp_path / "model.ckpt", lambda m: m.pop(key))
         with pytest.raises(ValueError, match=f"header lacks {key}"):
@@ -582,28 +578,24 @@ class TestCheckpoint:
         "widths-short": lambda m: m["enc"].update(widths=[2]),
         # a data width whose networks are too large to allocate
         "widths-huge": lambda m: m["dec"].update(widths=[2, 16, 10**10]),
-        "activations": lambda m: m["enc"].update(activations="relu"),
-        "adam": lambda m: m.update(adam_enc=5, adam_dec=5),
         "image_shape": lambda m: m.update(image_shape=5),
         "image_shape-short": lambda m: m.update(image_shape=[28]),
-        "config": lambda m: m.update(config=[]),
-        "config-lr": lambda m: m["config"].update(lr="fast"),
+        "config": lambda m: m.update(config="seed = 1"),
+        "config-line": lambda m: m["config"].append(5),
+        "config-lr": config_line("lr = fast"),
         "step": lambda m: m.update(step=[1]),
         "step-float": lambda m: m.update(step=0.0),
         "step-inf": lambda m: m.update(step=float("inf")),
         "step-bool": lambda m: m.update(step=False),
-        "config-seed": lambda m: m["config"].update(seed=1.5),
-        "config-limit": lambda m: m["config"].update(limit=64.0),
-        "config-lambda-nan": lambda m: m["config"].update({"lambda": float("nan")}),
+        "config-seed": config_line("seed = 1.5"),
+        "config-limit": config_line("limit = 64.0"),
+        "config-lambda-nan": config_line("lambda = nan"),
         "rng": lambda m: m.update(rng=5),
     }
 
     # Values of the right type that no saved state has, and the error each gives.
     OUT_OF_RANGE = {
-        "negative-step": (
-            lambda m: [m.update(step=-5)] + [m[k].update(t=-5) for k in ("adam_enc", "adam_dec")],
-            "step must be >= 0, got -5",
-        ),
+        "negative-step": (lambda m: m.update(step=-5), "step must be >= 0, got -5"),
         # ring rows have 2 values
         "image_shape-width": (
             lambda m: m.update(image_shape=[2, 2]), r"image_shape \[2, 2\] does not fit 2-value"
@@ -627,14 +619,9 @@ class TestCheckpoint:
     INCONSISTENT = {
         "sigmoid-on-ring": (lambda m: m.update(output_activation="sigmoid"), "output_activation"),
         "bogus-output": (lambda m: m.update(output_activation="bogus"), "output_activation"),
-        "adam-lr": (
-            lambda m: [m[k].update(lr=0.5) for k in ("adam_enc", "adam_dec")], "adam_enc"
-        ),
-        "adam-t": (lambda m: [m[k].update(t=7) for k in ("adam_enc", "adam_dec")], "adam_enc"),
-        "linear-encoder": (
-            lambda m: m["enc"].update(activations=["identity", "identity"]), "enc"
-        ),
-        "config-width": (lambda m: m["config"].update(enc_hidden=[9]), "enc"),
+        "config-width": (config_line("enc_hidden = 9"), "enc"),
+        # a line that parses to the same value but is not the echo's form
+        "config-form": (config_line("seed = 01"), "config"),
     }
 
     @pytest.mark.parametrize("edit, key", INCONSISTENT.values(), ids=INCONSISTENT.keys())

@@ -201,14 +201,19 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), [0.0, 0.0], np.ones(2))
 
+    # 50 steps cross two decay boundaries; 400 steps also pass t = 54 and
+    # t = 356, from which 1 - 0.5**t and 1 - 0.9**t round to exactly 1.0
     @pytest.mark.parametrize(
-        "size", [1, 1000, ADAM_CHUNK, 3 * ADAM_CHUNK + 17], ids=["1", "1000", "chunk", "3chunks+17"]
+        "size, steps, decay_every",
+        [(size, steps, decay) for steps, decay in [(50, 20), (400, 150)]
+         for size in [1, 1000, ADAM_CHUNK, 3 * ADAM_CHUNK + 17]],
+        ids=[f"{size}{suffix}" for suffix in ["", "-400steps"]
+             for size in ["1", "1000", "chunk", "3chunks+17"]],
     )
-    def test_matches_allocating_formula_bit_for_bit(self, size):
+    def test_matches_allocating_formula_bit_for_bit(self, size, steps, decay_every):
         # the textbook update with temporaries, as the optimizer read before
-        # it updated in place and in blocks; 50 steps cross two decay
-        # boundaries
-        kw = dict(lr=0.01, beta1=0.5, beta2=0.9, decay_every=20, decay_factor=0.5)
+        # it updated in place and in blocks
+        kw = dict(lr=0.01, beta1=0.5, beta2=0.9, decay_every=decay_every, decay_factor=0.5)
         s = AdamState(**kw)
         ref = AdamState(**kw)
         rng = Rng(21)
@@ -216,7 +221,7 @@ class TestAdam:
         want = p.copy()
         m = v = np.zeros_like(p)
         lrs = set()
-        for _ in range(50):
+        for _ in range(steps):
             g = rng.normal(1, size).ravel() * np.exp(rng.normal(1, size).ravel())
             lr = ref.effective_lr()
             lrs.add(lr)
@@ -227,7 +232,7 @@ class TestAdam:
             v_hat = v / (1.0 - ref.beta2**ref.t)
             want = want - lr * m_hat / (np.sqrt(v_hat) + ref.eps)
             adam_step(s, p, g)
-        assert len(lrs) == 3 and s.t == 50
+        assert len(lrs) == 3 and s.t == steps
         assert p.tobytes() == want.tobytes()
         assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
 
