@@ -2,7 +2,9 @@
 variants) with its analytic gradient, and IMQ-kernel MMD with its gradient.
 Training makes one call per penalty that returns the value and its gradient
 together, so the two share their eigendecompositions (W2) or kernel matrices
-(MMD); `gaussian_w2` is the value-only entry that FID uses.
+(MMD). `gaussian_w2` and `_mmd_imq_parts` compute the value alone, with the
+same operations and so the same bits; FID uses the first, loss-only
+evaluations both.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -82,16 +84,9 @@ def _imq_kernel(a: Matrix, a_sq: np.ndarray, b: Matrix, b_sq: np.ndarray, c: flo
     return c / (c + sq)
 
 
-def mmd_imq_value_and_grad(x: Matrix, y: Matrix, scale_c: float = 1.0) -> tuple[float, Matrix]:
-    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel, and
-    its gradient with respect to the rows of y (x held fixed).
-
-    Kernel k(a, b) = C / (C + ||a - b||^2) with C = scale_c * 2 * d, the
-    standard-normal-prior convention. Each kernel matrix is built once; the
-    gradient reuses kyy and kxy from the value.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float):
+    """The `mmd_imq_value_and_grad` value, the kernel constant C and the
+    kyy and kxy matrices that the gradient shares with the value."""
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError(f"mmd_imq needs at least 2 points per side, got {n}, {m}")
@@ -105,10 +100,25 @@ def mmd_imq_value_and_grad(x: Matrix, y: Matrix, scale_c: float = 1.0) -> tuple[
     term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
     term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     cross = 2.0 * kxy.sum() / (n * m)
+    return float(term_x + term_y - cross), c, kyy, kxy
+
+
+def mmd_imq_value_and_grad(x: Matrix, y: Matrix, scale_c: float = 1.0) -> tuple[float, Matrix]:
+    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel, and
+    its gradient with respect to the rows of y (x held fixed).
+
+    Kernel k(a, b) = C / (C + ||a - b||^2) with C = scale_c * 2 * d, the
+    standard-normal-prior convention. Each kernel matrix is built once; the
+    gradient reuses kyy and kxy from the value.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, m = x.shape[0], y.shape[0]
+    value, c, kyy, kxy = _mmd_imq_parts(x, y, scale_c)
 
     w_yy = kyy**2 / c  # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C
     np.fill_diagonal(w_yy, 0.0)
     grad = (-4.0 / (m * (m - 1))) * (w_yy.sum(axis=1)[:, None] * y - w_yy @ y)
     w_xy = kxy**2 / c
     grad += (4.0 / (n * m)) * (w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x)
-    return float(term_x + term_y - cross), grad
+    return value, grad

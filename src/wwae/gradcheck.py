@@ -2,9 +2,11 @@
 
 Probes every encoder and decoder parameter of a model built from a config,
 holding the batch and all sampling noise fixed, and compares analytic
-gradients against central differences on the identical loss evaluation
-path. This is the decisive correctness gate for the hand-written backward
-passes.
+gradients against central differences of the same loss. One full
+`models.loss_and_grads` call gives the analytic gradients; each of the 2n
+probes calls it with `grads=False`, which runs the identical forward and
+skips every backward pass. This is the decisive correctness gate for the
+hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def check_model_grads(
 
     def loss_at(k: int, value: float) -> float:
         theta[k] = value
-        p, _ = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats)
+        p, _ = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats, grads=False)
         return p.total
 
     n_enc = grads.n_enc

@@ -34,19 +34,26 @@ def fid(a: Matrix, b: Matrix) -> float:
     """Squared Gaussian W2 (Bures cross term) between unbiased row fits.
 
     The two fits are fed to the divergence in a canonical byte order, so
-    fid(a, b) == fid(b, a) exactly, not just up to rounding.
+    fid(a, b) == fid(b, a) exactly, not just up to rounding. Features so
+    large that a fit or the distance overflows float64 raise ValueError.
     """
     fa = np.asarray(a, dtype=np.float64)
     fb = np.asarray(b, dtype=np.float64)
     if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
         raise ValueError(f"feature dimensions differ: {fa.shape} vs {fb.shape}")
-    sa = spectral.batch_stats(fa)
-    sb = spectral.batch_stats(fb)
-    ka = sa.mean.tobytes() + sa.cov.tobytes()
-    kb = sb.mean.tobytes() + sb.cov.tobytes()
-    if kb < ka:
-        sa, sb = sb, sa
-    return divergences.gaussian_w2(sa, sb, W2Variant.BURES)
+    value = float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa = spectral.batch_stats(fa)
+        sb = spectral.batch_stats(fb)
+        ka = sa.mean.tobytes() + sa.cov.tobytes()
+        kb = sb.mean.tobytes() + sb.cov.tobytes()
+        if kb < ka:
+            sa, sb = sb, sa
+        if np.isfinite(sa.cov).all() and np.isfinite(sb.cov).all():
+            value = divergences.gaussian_w2(sa, sb, W2Variant.BURES)
+    if not np.isfinite(value):
+        raise ValueError("desk-FID is not finite: the feature statistics overflow float64")
+    return value
 
 
 def _pixel_matrix(images: Matrix) -> Matrix:
@@ -127,10 +134,18 @@ def read_features_csv(path: str | Path) -> Matrix:
     rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
-        if line:
-            rows.append([float(v) for v in line.split(",")])
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"feature file {path} line {lineno} is not finite: {line!r}")
+        if not line:
+            continue
+        where = f"feature file {path} line {lineno}"
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ValueError(f"{where} is not a row of numbers: {line!r}") from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"{where} is not finite: {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{where} is not {len(rows[0])} values long: {line!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"feature file is empty: {path}")
     return np.array(rows, dtype=np.float64)

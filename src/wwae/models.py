@@ -1,6 +1,7 @@
 """Gaussian encoder with reparameterization, decoder, one table of latent
 regularizers (closed-form W2, KL, IMQ-MMD), the one loss with its exact
-analytic gradients, and the single-step training update.
+analytic gradients (or its value alone, for finite-difference probes), and
+the single-step training update.
 
 Gradient flow for the W2 and MMD regularizers runs through the encoded-side
 batch only; the prior batch drawn each step is a constant with respect to
@@ -144,38 +145,50 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
 # A regularizer entry takes the codes z, the encoder output and the prior
 # noise of `loss_and_grads`, and returns its value and the gradients of
 # lam * value with respect to z, the means and the log-variances; None
-# stands for a gradient the regularizer does not have.
+# stands for a gradient the regularizer does not have, and every gradient
+# is None with `grads=False`.
 RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix]]
 
 
-def _w2_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+def _w2_term(
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+) -> RegTerm:
     """Closed-form W2 between the prior statistics (exact, or fitted to the
     prior batch) and the fit to the codes."""
     if prior_stats is None:
         if z_prior is None:
             raise ValueError("sampled prior statistics need a prior batch")
         prior_stats = spectral.batch_stats(z_prior)
-    value, gm, gc = divergences.gaussian_w2_value_and_grad(
-        prior_stats, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
-    )
+    q, variant = spectral.batch_stats(z), W2Variant(cfg.w2_variant)
+    if not grads:
+        return divergences.gaussian_w2(prior_stats, q, variant), None, None, None
+    value, gm, gc = divergences.gaussian_w2_value_and_grad(prior_stats, q, variant)
     d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc)
     return value, d_z, None, None
 
 
-def _kl_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+def _kl_term(
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+) -> RegTerm:
     """KL of each diagonal posterior to N(0, I), averaged over the batch."""
     mu, logvar = out.mu, out.logvar
     n = mu.shape[0]
     value = float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0)) / n
+    if not grads:
+        return value, None, None, None
     d_mu = cfg.lam * mu / n
     d_logvar = cfg.lam * (np.exp(logvar) - 1.0) / (2.0 * n)
     return value, None, d_mu, d_logvar
 
 
-def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats) -> RegTerm:
+def _mmd_term(
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+) -> RegTerm:
     """IMQ-kernel MMD between the prior batch and the codes."""
     if z_prior is None:
         raise ValueError("mmd regularizer needs a prior batch")
+    if not grads:
+        return divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale)[0], None, None, None
     value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale)
     return value, cfg.lam * grad, None, None
 
@@ -209,12 +222,15 @@ def loss_and_grads(
     eps: Matrix,
     z_prior: Optional[Matrix],
     prior_stats: Optional[GaussStats],
-) -> tuple[LossParts, Grads]:
+    grads: bool = True,
+) -> tuple[LossParts, Optional[Grads]]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
     `z_prior` is the prior sample (required for mmd and sampled-stats w2);
     `prior_stats` short-circuits the sampled statistics for w2 when the
-    exact prior moments are used instead.
+    exact prior moments are used instead. With `grads=False` it returns
+    `(parts, None)`: the same forward and the same bits of `parts`, with no
+    backward pass and no regularizer gradient.
     """
     n = x.shape[0]
     out = encode(model.enc, x)
@@ -222,17 +238,19 @@ def loss_and_grads(
     x_hat, dec_tape = _decode(model, z)
     recon = recon_error(x, x_hat)
     reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer](
-        cfg, z, out, z_prior, prior_stats
+        cfg, z, out, z_prior, prior_stats, grads
     )
     parts = LossParts(recon + cfg.lam * reg, recon, reg)
+    if not grads:
+        return parts, None
 
     # Reconstruction path back to the latent codes.
     d_xhat = (2.0 / n) * (x_hat - x)
     if model.output_activation == "sigmoid":
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
-    grads = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
-    d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=grads.dec)
+    result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
+    d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=result.dec)
 
     # The regularizer gradients are added only when weighted: at lam = 0
     # they hold zeros that would turn -0.0 into 0.0, or NaN from 0 * inf.
@@ -247,8 +265,8 @@ def loss_and_grads(
     d_logvar = d_logvar * ((out.logvar > LOGVAR_MIN) & (out.logvar < LOGVAR_MAX))
 
     grad_enc_y = np.concatenate([d_mu, d_logvar], axis=1)
-    nn.mlp_backward(model.enc, out.tape, grad_enc_y, out=grads.enc, input_grad=False)
-    return parts, grads
+    nn.mlp_backward(model.enc, out.tape, grad_enc_y, out=result.enc, input_grad=False)
+    return parts, result
 
 
 @dataclass

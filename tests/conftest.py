@@ -112,13 +112,15 @@ def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def corrupt_first_gradient(monkeypatch, amount):
-    """Make every `models.loss_and_grads` call report a wrong gradient for
-    the first encoder parameter; the loss values stay right."""
+    """Make every `models.loss_and_grads` call that computes gradients report
+    a wrong gradient for the first encoder parameter; the loss values stay
+    right, and loss-only calls pass their None gradient through."""
     loss_and_grads = models.loss_and_grads
 
-    def corrupted(*args):
-        parts, grads = loss_and_grads(*args)
-        grads.flat[0] += amount
+    def corrupted(*args, **kwargs):
+        parts, grads = loss_and_grads(*args, **kwargs)
+        if grads is not None:
+            grads.flat[0] += amount
         return parts, grads
 
     monkeypatch.setattr(models, "loss_and_grads", corrupted)

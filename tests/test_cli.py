@@ -1,4 +1,5 @@
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,34 @@ class TestFid:
             f"error: feature file {pa} line 2 is not finite: {row!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("3,abc", "is not a row of numbers"), ("3", "is not 2 values long")],
+    )
+    def test_bad_feature_row_is_one_error_line(self, tmp_path, capsys, row, problem):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        pa.write_text(f"1,2\n{row}\n4,5\n")
+        write_points_csv(pb, np.zeros((3, 2)))
+        assert main(["fid", "--features-a", str(pa), "--features-b", str(pb)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: feature file {pa} line 2 {problem}: {row!r}"
+        ]
+
+    @pytest.mark.parametrize("other", ["a.csv", "b.csv"])
+    def test_overflowing_features_are_one_error_line(self, tmp_path, capsys, other):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        pa.write_text("1e308,1e308\n-1e308,-1e308\n1e308,-1e308\n")
+        write_points_csv(pb, np.zeros((3, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fid", "--features-a", str(pa), "--features-b", str(tmp_path / other)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: desk-FID is not finite: the feature statistics overflow float64"
+        ]
+
     def test_no_inputs_rejected(self, capsys):
         assert main(["fid"]) == 1
         assert "need either" in capsys.readouterr().err
@@ -536,6 +565,15 @@ class TestEvaluationOnlyReads:
         ]
 
 
+# `wwae gradcheck` report of the tiny config of TestGradcheckCmd.test_passes,
+# as printed before the probes stopped running a backward pass; the probe
+# totals decide every number in it.
+GOLDEN_GRADCHECK_LINE = (
+    "regularizer=w2_root_product max_rel_err=2.494952e-08 worst=dec.W0[3,0] "
+    "checked=78 tol=0.0001 status=pass"
+)
+
+
 class TestGradcheckCmd:
     def test_passes(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -544,7 +582,7 @@ class TestGradcheckCmd:
             dec_hidden="6", batch_size=8, seed=2,
         )
         assert main(["gradcheck", "--config", str(cfg)]) == 0
-        assert "status=pass" in capsys.readouterr().out
+        assert capsys.readouterr().out == GOLDEN_GRADCHECK_LINE + "\n"
 
     def test_detects_corruption(self, tmp_path, capsys, monkeypatch):
         corrupt_first_gradient(monkeypatch, 1.0)

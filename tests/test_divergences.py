@@ -221,7 +221,7 @@ def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
     enc = nn.MlpParams([np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])])
     out = models.encode(enc, np.zeros((1, 1)))
     cfg = TrainConfig(regularizer="kl", latent_dim=ell)
-    return models.REGULARIZERS["kl"](cfg, out.mu, out, None, None)[0]
+    return models.REGULARIZERS["kl"](cfg, out.mu, out, None, None, False)[0]
 
 
 class TestKl:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,12 +64,45 @@ def test_one_loss_evaluation_per_probe(monkeypatch):
     calls = []
     loss_and_grads = models.loss_and_grads
     monkeypatch.setattr(
-        models, "loss_and_grads", lambda *a: calls.append(1) or loss_and_grads(*a)
+        models, "loss_and_grads", lambda *a, **k: calls.append(1) or loss_and_grads(*a, **k)
     )
     cfg = tiny_config()
     gradcheck.check_config(cfg)
     n_params = sum(nn.n_params(w) for w in ([2, 6, 4], [2, 6, 2]))
     assert len(calls) == 1 + 2 * n_params
+
+
+def test_one_backward_pair_per_check(monkeypatch):
+    # the analytic pass runs the decoder and encoder backward; probes run none
+    calls = []
+    backward = nn.mlp_backward
+    monkeypatch.setattr(
+        nn, "mlp_backward", lambda *a, **k: calls.append(1) or backward(*a, **k)
+    )
+    gradcheck.check_config(tiny_config())
+    assert len(calls) == 2
+
+
+# sha256 of the float64 totals of every `loss_and_grads` call one check of
+# `tiny_config()` makes (the analytic pass, then the probes in order), as
+# computed before the probes stopped running a backward pass.
+GOLDEN_TOTALS_SHA256 = "baf64f35db3b18af2bd80c5e36e61f22bf054a92ec7306b5f7ba0fc9adbe0945"
+
+
+def test_probe_totals_golden(monkeypatch):
+    totals = []
+    loss_and_grads = models.loss_and_grads
+
+    def recorded(*args, **kwargs):
+        parts, grads = loss_and_grads(*args, **kwargs)
+        totals.append(parts.total)
+        return parts, grads
+
+    monkeypatch.setattr(models, "loss_and_grads", recorded)
+    res = gradcheck.check_config(tiny_config())
+    assert len(totals) == 157
+    assert hashlib.sha256(np.array(totals).tobytes()).hexdigest() == GOLDEN_TOTALS_SHA256
+    assert res.max_rel_err.hex() == "0x1.aca126f1fe7f7p-26"
 
 
 def test_report_line_format():

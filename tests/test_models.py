@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -331,6 +332,75 @@ class TestLossAndGrads:
 
     def test_table_covers_every_configurable_regularizer(self):
         assert set(models.REGULARIZERS) == set(config.REGULARIZERS)
+
+
+REG_CASES = [
+    *(
+        dict(regularizer="w2", w2_variant=v, prior_stats=p)
+        for v in config.W2_VARIANTS
+        for p in config.PRIOR_STATS
+    ),
+    dict(regularizer="kl"),
+    dict(regularizer="mmd"),
+]
+
+
+def loss_inputs(cfg, image_data):
+    """The `loss_and_grads` arguments for a model built from `cfg`, a batch
+    of 12 rows and one step's noise."""
+    if image_data:
+        x = Rng(11).uniform(12, 9)
+    else:
+        x = load_dataset(cfg, Rng(cfg.seed).split(3)).examples[:12]
+    model = build_model(cfg, x.shape[1], Rng(4), image_data)
+    z_prior, prior_stats, eps = draw_step_noise(cfg, Rng(5), 12, cfg.latent_dim)
+    return model, cfg, x, eps, z_prior, prior_stats
+
+
+class TestLossOnly:
+    @pytest.mark.parametrize("image_data", [False, True], ids=["ring", "sigmoid"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize(
+        "case", REG_CASES, ids=lambda c: "-".join(map(str, c.values()))
+    )
+    def test_parts_equal_the_full_call_bit_for_bit(self, case, lam, image_data):
+        args = loss_inputs(ring_config(lam=lam, **case), image_data)
+        full, grads = loss_and_grads(*args)
+        only, none = loss_and_grads(*args, grads=False)
+        assert grads is not None and none is None
+        assert np.array(astuple(only)).tobytes() == np.array(astuple(full)).tobytes()
+
+    def test_value_only_mmd_builds_three_kernels_and_no_gradient(self, monkeypatch):
+        calls = []
+        kernel = divergences._imq_kernel
+
+        def counted(a, a_sq, b, b_sq, c):
+            calls.append((a.shape[0], b.shape[0]))
+            return kernel(a, a_sq, b, b_sq, c)
+
+        def no_gradient(*args):
+            raise AssertionError("value-only call computed the MMD gradient")
+
+        monkeypatch.setattr(divergences, "_imq_kernel", counted)
+        monkeypatch.setattr(divergences, "mmd_imq_value_and_grad", no_gradient)
+        args = loss_inputs(ring_config(regularizer="mmd"), False)
+        assert loss_and_grads(*args, grads=False)[1] is None
+        assert calls == [(12, 12)] * 3
+
+    @pytest.mark.parametrize("variant", config.W2_VARIANTS)
+    @pytest.mark.parametrize("prior", config.PRIOR_STATS)
+    def test_value_only_w2_takes_no_gradient(self, monkeypatch, variant, prior):
+        calls = []
+        for module, name in ((divergences, "grad_trace_sqrtm"), (spectral, "batch_stats_backward")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        args = loss_inputs(ring_config(w2_variant=variant, prior_stats=prior), False)
+        assert loss_and_grads(*args, grads=False)[1] is None
+        assert calls == []
+        loss_and_grads(*args)  # the spies see the full call
+        assert calls == ["grad_trace_sqrtm", "batch_stats_backward"]
 
 
 class TestTrainStep:
