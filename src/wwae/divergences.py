@@ -4,7 +4,7 @@ Training makes one call per penalty that returns the value and its gradient
 together, so the two share their eigendecompositions (W2) or kernel matrices
 (MMD). `gaussian_w2` and `_mmd_imq_parts` compute the value alone, with the
 same operations and so the same bits; FID uses the first, loss-only
-evaluations both.
+evaluations both. Each also takes the prior's side precomputed: Sp's root, x's kxx.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -31,15 +31,19 @@ class W2Variant(enum.Enum):
     BURES = "bures"
 
 
-def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant):
-    """The `gaussian_w2` value, the root of Sp, and the eigendecomposition of
-    Sq (root_product) or of Sp^{1/2} Sq Sp^{1/2} (bures) that the gradient
-    shares with the value."""
+def _cov_root(cov: Matrix) -> Matrix:
+    """`sqrtm_psd(cov)`, which is I bit for bit when cov is I: no eigh."""
+    eye = np.eye(len(cov))
+    return eye if np.array_equal(cov, eye) else sqrtm_psd(cov)
+
+
+def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None):
+    """The `gaussian_w2` value, the root of Sp (`p_root` if given), and the
+    eigendecomposition of Sq (root_product) or of Sp^{1/2} Sq Sp^{1/2}
+    (bures) that the gradient shares with the value."""
     if p.dim != q.dim or p.cov.shape != q.cov.shape:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    eye = np.eye(p.dim)
-    # sqrtm_psd(I) is I bit for bit, so the exact prior needs no eigh.
-    p_root = eye if np.array_equal(p.cov, eye) else sqrtm_psd(p.cov)
+    p_root = _cov_root(p.cov) if p_root is None else p_root
     if variant is W2Variant.ROOT_PRODUCT:
         dec = eigh_psd(q.cov)
         cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))
@@ -53,22 +57,22 @@ def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant):
     return max(value - 2.0 * cross, 0.0), p_root, dec
 
 
-def gaussian_w2(p: GaussStats, q: GaussStats, variant: W2Variant) -> float:
+def gaussian_w2(p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None) -> float:
     """Squared Wasserstein-2 distance between Gaussian statistics:
     ||mu_p - mu_q||^2 + Tr(Sp) + Tr(Sq) - 2 * cross(Sp, Sq). Tiny negative
     values from rounding are clamped to 0, and identical statistics give an
-    exact 0."""
-    return _gaussian_w2_parts(p, q, variant)[0]
+    exact 0. `p_root`, if given, is the root of p's covariance."""
+    return _gaussian_w2_parts(p, q, variant, p_root)[0]
 
 
 def gaussian_w2_value_and_grad(
-    p: GaussStats, q: GaussStats, variant: W2Variant
+    p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None
 ) -> tuple[float, np.ndarray, Matrix]:
     """`gaussian_w2` and its gradients with respect to q's mean and
     covariance, from the same eigendecompositions. Only the q side carries
     gradients: in training, p holds the prior statistics, which do not
     depend on the model parameters."""
-    value, p_root, dec = _gaussian_w2_parts(p, q, variant)
+    value, p_root, dec = _gaussian_w2_parts(p, q, variant, p_root)
     eye = np.eye(p.dim)
     if variant is W2Variant.ROOT_PRODUCT:
         grad_cov = eye - grad_trace_sqrtm(dec, 2.0 * p_root)
@@ -84,37 +88,47 @@ def _imq_kernel(a: Matrix, a_sq: np.ndarray, b: Matrix, b_sq: np.ndarray, c: flo
     return c / (c + sq)
 
 
-def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float):
+def _imq_prior_side(x: Matrix, scale_c: float):
+    """C, x's squared row norms and kxx's term: `_mmd_imq_parts` of x alone."""
+    n, c = x.shape[0], scale_c * 2.0 * x.shape[1]
+    x_sq = np.sum(x**2, axis=1)
+    kxx = _imq_kernel(x, x_sq, x, x_sq, c)
+    return c, x_sq, (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+
+
+def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float, x_side=None):
     """The `mmd_imq_value_and_grad` value, the kernel constant C and the
-    kyy and kxy matrices that the gradient shares with the value."""
+    kyy and kxy matrices that the gradient shares with the value.
+    `x_side`, if given, is `_imq_prior_side(x, scale_c)`."""
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError(f"mmd_imq needs at least 2 points per side, got {n}, {m}")
     if scale_c <= 0:
         raise ValueError(f"scale_c must be positive, got {scale_c}")
-    c = scale_c * 2.0 * x.shape[1]
-    x_sq, y_sq = np.sum(x**2, axis=1), np.sum(y**2, axis=1)
-    kxx = _imq_kernel(x, x_sq, x, x_sq, c)
+    c, x_sq, term_x = x_side or _imq_prior_side(x, scale_c)
+    y_sq = np.sum(y**2, axis=1)
     kyy = _imq_kernel(y, y_sq, y, y_sq, c)
     kxy = _imq_kernel(x, x_sq, y, y_sq, c)
-    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
     term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     cross = 2.0 * kxy.sum() / (n * m)
     return float(term_x + term_y - cross), c, kyy, kxy
 
 
-def mmd_imq_value_and_grad(x: Matrix, y: Matrix, scale_c: float = 1.0) -> tuple[float, Matrix]:
+def mmd_imq_value_and_grad(
+    x: Matrix, y: Matrix, scale_c: float = 1.0, x_side=None
+) -> tuple[float, Matrix]:
     """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel, and
     its gradient with respect to the rows of y (x held fixed).
 
     Kernel k(a, b) = C / (C + ||a - b||^2) with C = scale_c * 2 * d, the
     standard-normal-prior convention. Each kernel matrix is built once; the
-    gradient reuses kyy and kxy from the value.
+    gradient reuses kyy and kxy from the value. `x_side`, if given, is
+    `_imq_prior_side(x, scale_c)`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, m = x.shape[0], y.shape[0]
-    value, c, kyy, kxy = _mmd_imq_parts(x, y, scale_c)
+    value, c, kyy, kxy = _mmd_imq_parts(x, y, scale_c, x_side)
 
     w_yy = kyy**2 / c  # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C
     np.fill_diagonal(w_yy, 0.0)

@@ -3,19 +3,21 @@
 Probes every encoder and decoder parameter of a model built from a config,
 holding the batch and all sampling noise fixed, and compares analytic
 gradients against central differences of the same loss. One full
-`models.loss_and_grads` call gives the analytic gradients; each of the 2n
-probes calls it with `grads=False`, which runs the identical forward and
-skips every backward pass. This is the decisive correctness gate for the
+`models.loss_and_grads` call gives the analytic gradients and its forward
+record; each of the 2n probes passes `grads=False` and that record, so it
+runs no backward pass and recomputes only from the bumped layer on, with
+the bits of a full forward. This is the decisive correctness gate for the
 hand-written backward passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from . import data, models, nn
+from . import data, models
 from .config import TrainConfig
 from .numerics import Rng
 
@@ -41,17 +43,14 @@ class GradCheckResult:
         )
 
 
-def _coordinate_name(params: nn.MlpParams, net: str, flat_index: int) -> str:
-    pos = flat_index
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if pos < w.size:
-            i, j = divmod(pos, w.shape[1])
-            return f"{net}.W{layer}[{i},{j}]"
-        pos -= w.size
-        if pos < b.size:
-            return f"{net}.b{layer}[{pos}]"
-        pos -= b.size
-    return f"{net}.flat[{flat_index}]"
+def _coordinates(model: models.Model) -> Iterator[tuple[str, int, str]]:
+    """Network, layer and name of each parameter, in `Model.theta` order."""
+    for net, params in (("enc", model.enc), ("dec", model.dec)):
+        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+            for i, j in np.ndindex(w.shape):
+                yield net, layer, f"{net}.W{layer}[{i},{j}]"
+            for i in range(b.size):
+                yield net, layer, f"{net}.b{layer}[{i}]"
 
 
 def check_model_grads(
@@ -65,25 +64,25 @@ def check_model_grads(
         cfg, root.split(1), n, cfg.latent_dim
     )
 
-    _, grads = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats)
+    args = (model, cfg, x, eps, z_prior, prior_stats)
+    _, grads = models.loss_and_grads(*args, probe=(None, "enc", 0))
 
     # The model is this function's own: each probe bumps one coordinate of
     # its parameter vector in place and puts the saved value back.
     theta = model.theta
 
-    def loss_at(k: int, value: float) -> float:
+    def loss_at(k: int, value: float, probe: tuple) -> float:
         theta[k] = value
-        p, _ = models.loss_and_grads(model, cfg, x, eps, z_prior, prior_stats, grads=False)
-        return p.total
+        return models.loss_and_grads(*args, grads=False, probe=probe)[0].total
 
-    n_enc = grads.n_enc
     max_rel = 0.0
     worst = "none"
     checked = 0
-    for k in range(theta.size):
+    for k, (net, layer, name) in enumerate(_coordinates(model)):
         saved = theta[k]
-        hi = loss_at(k, saved + FD_STEP)
-        lo = loss_at(k, saved - FD_STEP)
+        probe = (grads.forward, net, layer)
+        hi = loss_at(k, saved + FD_STEP, probe)
+        lo = loss_at(k, saved - FD_STEP, probe)
         theta[k] = saved
         fd = (hi - lo) / (2.0 * FD_STEP)
         a = grads.flat[k]
@@ -93,18 +92,15 @@ def check_model_grads(
         rel = abs(a - fd) / scale
         checked += 1
         if rel > max_rel:
-            max_rel = rel
-            if k < n_enc:
-                worst = _coordinate_name(model.enc, "enc", k)
-            else:
-                worst = _coordinate_name(model.dec, "dec", k - n_enc)
+            max_rel, worst = rel, name
     return GradCheckResult(cfg.reg_kind(), max_rel, worst, checked, max_rel <= REL_TOL)
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:
     """Run the suite on the first batch of the configured dataset."""
     dataset = data.load_dataset(cfg, Rng(cfg.seed).split(3))
-    n = min(cfg.batch_size, dataset.n)
+    if cfg.batch_size > dataset.n:  # as `wwae train` refuses it
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
     return check_model_grads(
-        cfg, dataset.examples[:n], image_data=dataset.image_shape is not None
+        cfg, dataset.examples[: cfg.batch_size], image_data=dataset.image_shape is not None
     )

@@ -103,9 +103,9 @@ def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> 
     return arena_model(theta, cfg, data_dim, image_data)
 
 
-def encode(params: nn.MlpParams, x: Matrix) -> EncoderOut:
+def encode(params: nn.MlpParams, x: Matrix, start: int = 0) -> EncoderOut:
     """Split the trunk output into mean and clamped log-variance heads."""
-    y, tape = nn.mlp_forward(params, x)
+    y, tape = nn.mlp_forward(params, x, start)
     ell = y.shape[1] // 2
     return EncoderOut(y[:, :ell], np.clip(y[:, ell:], LOGVAR_MIN, LOGVAR_MAX), tape)
 
@@ -117,8 +117,8 @@ def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
     return out.mu + np.exp(0.5 * out.logvar) * eps
 
 
-def _decode(model: Model, z: Matrix) -> tuple[Matrix, nn.Tape]:
-    y, tape = nn.mlp_forward(model.dec, z)
+def _decode(model: Model, z: Matrix, start: int = 0) -> tuple[Matrix, nn.Tape]:
+    y, tape = nn.mlp_forward(model.dec, z, start)
     if model.output_activation == "sigmoid":
         # 1 / (1 + exp(-y)), operation for operation, in place. This
         # overwrites the output layer's pre-activation in the tape, which
@@ -143,65 +143,81 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
 
 
 # A regularizer entry takes the codes z, the encoder output and the prior
-# noise of `loss_and_grads`, and returns its value and the gradients of
-# lam * value with respect to z, the means and the log-variances; None
-# stands for a gradient the regularizer does not have, and every gradient
-# is None with `grads=False`.
-RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix]]
+# noise of `loss_and_grads`, and returns its value, the gradients of
+# lam * value with respect to z, the means and the log-variances, and the
+# terms it computes from the prior alone (taken from `side` if given); None
+# stands for a gradient it lacks, and every gradient is None with `grads=False`.
+RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix], object]
 
 
 def _w2_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
 ) -> RegTerm:
     """Closed-form W2 between the prior statistics (exact, or fitted to the
-    prior batch) and the fit to the codes."""
-    if prior_stats is None:
-        if z_prior is None:
+    prior batch) and the fit to the codes; the prior side adds their root."""
+    if side is None:
+        if prior_stats is None and z_prior is None:
             raise ValueError("sampled prior statistics need a prior batch")
-        prior_stats = spectral.batch_stats(z_prior)
-    q, variant = spectral.batch_stats(z), W2Variant(cfg.w2_variant)
+        p = spectral.batch_stats(z_prior) if prior_stats is None else prior_stats
+        side = p, divergences._cov_root(p.cov)
+    (p, p_root), q, variant = side, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
     if not grads:
-        return divergences.gaussian_w2(prior_stats, q, variant), None, None, None
-    value, gm, gc = divergences.gaussian_w2_value_and_grad(prior_stats, q, variant)
+        return divergences.gaussian_w2(p, q, variant, p_root), None, None, None, side
+    value, gm, gc = divergences.gaussian_w2_value_and_grad(p, q, variant, p_root)
     d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc)
-    return value, d_z, None, None
+    return value, d_z, None, None, side
 
 
 def _kl_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
 ) -> RegTerm:
     """KL of each diagonal posterior to N(0, I), averaged over the batch."""
     mu, logvar = out.mu, out.logvar
     n = mu.shape[0]
     value = float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0)) / n
     if not grads:
-        return value, None, None, None
+        return value, None, None, None, None
     d_mu = cfg.lam * mu / n
     d_logvar = cfg.lam * (np.exp(logvar) - 1.0) / (2.0 * n)
-    return value, None, d_mu, d_logvar
+    return value, None, d_mu, d_logvar, None
 
 
 def _mmd_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool
+    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
 ) -> RegTerm:
     """IMQ-kernel MMD between the prior batch and the codes."""
     if z_prior is None:
         raise ValueError("mmd regularizer needs a prior batch")
+    side = side or divergences._imq_prior_side(z_prior, cfg.mmd_scale)
     if not grads:
-        return divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale)[0], None, None, None
-    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale)
-    return value, cfg.lam * grad, None, None
+        value = divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale, side)[0]
+        return value, None, None, None, side
+    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale, side)
+    return value, cfg.lam * grad, None, None, side
 
 
 REGULARIZERS = {"w2": _w2_term, "kl": _kl_term, "mmd": _mmd_term}
 
 
 @dataclass
+class Forward:
+    """Each network's tape, the regularizer value and its prior side, as one
+    `loss_and_grads` call computed them."""
+
+    enc_tape: nn.Tape
+    dec_tape: nn.Tape
+    reg: float
+    prior_side: object
+
+
+@dataclass
 class Grads:
-    """The loss gradient in the `Model.theta` layout, enc || dec."""
+    """The loss gradient in the `Model.theta` layout, enc || dec, and the
+    forward record of a call that passed `probe`."""
 
     flat: np.ndarray
     n_enc: int
+    forward: Optional[Forward]
 
     @property
     def enc(self) -> np.ndarray:
@@ -223,6 +239,7 @@ def loss_and_grads(
     z_prior: Optional[Matrix],
     prior_stats: Optional[GaussStats],
     grads: bool = True,
+    probe: Optional[tuple[Optional[Forward], str, int]] = None,
 ) -> tuple[LossParts, Optional[Grads]]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
@@ -230,16 +247,26 @@ def loss_and_grads(
     `prior_stats` short-circuits the sampled statistics for w2 when the
     exact prior moments are used instead. With `grads=False` it returns
     `(parts, None)`: the same forward and the same bits of `parts`, with no
-    backward pass and no regularizer gradient.
+    backward pass and no regularizer gradient. A loss-only call whose
+    parameters differ from an earlier call's on the same inputs only in
+    layer L of `net` ("enc" or "dec") may pass `probe = (record, net, L)`
+    with that call's `Grads.forward`: it runs from layer L on, same bits.
+    That earlier call passes `probe = (None, "enc", 0)` to keep its record;
+    no other caller holds one beyond its backward pass.
     """
     n = x.shape[0]
-    out = encode(model.enc, x)
-    z = reparameterize(out, eps)
-    x_hat, dec_tape = _decode(model, z)
+    record, net, layer = probe or (None, "enc", 0)
+    if net == "enc":
+        out = encode(model.enc, record.enc_tape.inputs[layer] if record else x, layer)
+        z = reparameterize(out, eps)
+        x_hat, dec_tape = _decode(model, z)
+        reg, reg_z, reg_mu, reg_logvar, side = REGULARIZERS[cfg.regularizer](
+            cfg, z, out, z_prior, prior_stats, grads, record.prior_side if record else None
+        )
+    else:
+        x_hat, dec_tape = _decode(model, record.dec_tape.inputs[layer], layer)
+        reg = record.reg
     recon = recon_error(x, x_hat)
-    reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer](
-        cfg, z, out, z_prior, prior_stats, grads
-    )
     parts = LossParts(recon + cfg.lam * reg, recon, reg)
     if not grads:
         return parts, None
@@ -249,7 +276,8 @@ def loss_and_grads(
     if model.output_activation == "sigmoid":
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
-    result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc)
+    forward = Forward(out.tape, dec_tape, reg, side) if probe else None
+    result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
     d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=result.dec)
 
     # The regularizer gradients are added only when weighted: at lam = 0

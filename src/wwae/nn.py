@@ -93,18 +93,19 @@ class AdamState:
         return self.lr * self.decay_factor ** (self.t // self.decay_every)
 
 
-def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, Tape]:
-    """Apply the network to a batch of rows; returns output and tape."""
+def mlp_forward(params: MlpParams, x: Matrix, start: int = 0) -> tuple[Matrix, Tape]:
+    """Apply layers `start` onward to x, a batch of rows at the input of
+    layer `start`; returns output and the tape of the layers run."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
+    if x.ndim != 2 or x.shape[1] != params.weights[start].shape[1]:
         raise ValueError(
-            f"input shape {x.shape} does not match first layer input width "
-            f"{params.weights[0].shape[1]}"
+            f"input shape {x.shape} does not match layer {start} input width "
+            f"{params.weights[start].shape[1]}"
         )
     inputs, preacts = [], []
     a = x
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for i, (w, b) in enumerate(zip(params.weights[start:], params.biases[start:]), start):
         inputs.append(a)
         s = a @ w.T
         s += b

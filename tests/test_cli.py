@@ -594,6 +594,26 @@ class TestGradcheckCmd:
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         assert "status=fail" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "kv,message",
+        [
+            (dict(dataset="ring", limit=8, batch_size=64), "exceeds dataset size 8"),
+            (dict(dataset="idx", limit=1, regularizer="kl"), "exceeds dataset size 1"),
+        ],
+        ids=["ring", "idx-kl"],
+    )
+    def test_batch_larger_than_dataset_is_one_error_line(
+        self, tmp_path, capsys, blob_idx, kv, message
+    ):
+        # the check used to run quietly on fewer rows than batch_size
+        cfg = write_cfg(
+            tmp_path / "g.cfg", data_path=blob_idx, enc_hidden="4", dec_hidden="4", **kv
+        )
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: batch_size 64 {message}"]
+
 
 class TestLatent:
     def test_csv_and_summary(self, ring_run, tmp_path, capsys):
