@@ -82,18 +82,22 @@ def gaussian_w2_value_and_grad(
 
 
 def _imq_kernel(a: Matrix, a_sq: np.ndarray, b: Matrix, b_sq: np.ndarray, c: float) -> Matrix:
-    """k(a_i, b_j) = C / (C + ||a_i - b_j||^2), given the squared row norms."""
-    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * a @ b.T
-    np.maximum(sq, 0.0, out=sq)
-    return c / (c + sq)
+    """k(a_i, b_j) = C / (C + ||a_i - b_j||^2), given the squared row norms.
+    The squared distances become the kernel in place, so the Gram product
+    is the only other n x m array."""
+    k = a_sq[:, None] + b_sq
+    k -= (2.0 * a) @ b.T
+    np.maximum(k, 0.0, out=k)
+    k += c
+    return np.divide(c, k, out=k)
 
 
 def _imq_prior_side(x: Matrix, scale_c: float):
     """C, x's squared row norms and kxx's term: `_mmd_imq_parts` of x alone."""
     n, c = x.shape[0], scale_c * 2.0 * x.shape[1]
-    x_sq = np.sum(x**2, axis=1)
+    x_sq = np.add.reduce(x * x, axis=1)
     kxx = _imq_kernel(x, x_sq, x, x_sq, c)
-    return c, x_sq, (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    return c, x_sq, (kxx.sum() - kxx.trace()) / (n * (n - 1))
 
 
 def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float, x_side=None):
@@ -106,10 +110,10 @@ def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float, x_side=None):
     if scale_c <= 0:
         raise ValueError(f"scale_c must be positive, got {scale_c}")
     c, x_sq, term_x = x_side or _imq_prior_side(x, scale_c)
-    y_sq = np.sum(y**2, axis=1)
+    y_sq = np.add.reduce(y * y, axis=1)
     kyy = _imq_kernel(y, y_sq, y, y_sq, c)
     kxy = _imq_kernel(x, x_sq, y, y_sq, c)
-    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    term_y = (kyy.sum() - kyy.trace()) / (m * (m - 1))
     cross = 2.0 * kxy.sum() / (n * m)
     return float(term_x + term_y - cross), c, kyy, kxy
 
@@ -130,9 +134,13 @@ def mmd_imq_value_and_grad(
     n, m = x.shape[0], y.shape[0]
     value, c, kyy, kxy = _mmd_imq_parts(x, y, scale_c, x_side)
 
-    w_yy = kyy**2 / c  # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C
+    # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C; the weights k^2/C overwrite k,
+    # which the value no longer needs.
+    w_yy = np.multiply(kyy, kyy, out=kyy)
+    w_yy /= c
     np.fill_diagonal(w_yy, 0.0)
     grad = (-4.0 / (m * (m - 1))) * (w_yy.sum(axis=1)[:, None] * y - w_yy @ y)
-    w_xy = kxy**2 / c
+    w_xy = np.multiply(kxy, kxy, out=kxy)
+    w_xy /= c
     grad += (4.0 / (n * m)) * (w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x)
     return value, grad

@@ -12,7 +12,7 @@ hand-written backward passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -97,8 +97,10 @@ def check_model_grads(
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:
-    """Run the suite on the first batch of the configured dataset."""
-    dataset = data.load_dataset(cfg, Rng(cfg.seed).split(3))
+    """Run the suite on the first batch of the configured dataset. IDX
+    prefixes are exact, so only that batch is read; ring data is built whole."""
+    limit = min(cfg.limit, cfg.batch_size) if cfg.dataset == "idx" else cfg.limit
+    dataset = data.load_dataset(replace(cfg, limit=limit), Rng(cfg.seed).split(3))
     if cfg.batch_size > dataset.n:  # as `wwae train` refuses it
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
     return check_model_grads(

@@ -107,14 +107,19 @@ def encode(params: nn.MlpParams, x: Matrix, start: int = 0) -> EncoderOut:
     """Split the trunk output into mean and clamped log-variance heads."""
     y, tape = nn.mlp_forward(params, x, start)
     ell = y.shape[1] // 2
-    return EncoderOut(y[:, :ell], np.clip(y[:, ell:], LOGVAR_MIN, LOGVAR_MAX), tape)
+    logvar = np.maximum(y[:, ell:], LOGVAR_MIN)
+    return EncoderOut(y[:, :ell], np.minimum(logvar, LOGVAR_MAX, out=logvar), tape)
 
 
 def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
-    """z = mu + exp(logvar / 2) * eps."""
+    """z = mu + exp(logvar / 2) * eps, built in one buffer."""
     if eps.shape != out.mu.shape:
         raise ValueError(f"eps shape {eps.shape} does not match mu {out.mu.shape}")
-    return out.mu + np.exp(0.5 * out.logvar) * eps
+    z = 0.5 * out.logvar
+    np.exp(z, out=z)
+    z *= eps
+    z += out.mu
+    return z
 
 
 def _decode(model: Model, z: Matrix, start: int = 0) -> tuple[Matrix, nn.Tape]:
@@ -139,7 +144,9 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
     """Mean over the batch of per-example squared L2 error."""
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
+    err = x - x_hat
+    err *= err
+    return float(np.add.reduce(np.add.reduce(err, axis=1))) / x.shape[0]
 
 
 # A regularizer entry takes the codes z, the encoder output and the prior
@@ -387,12 +394,9 @@ def train_step(state: TrainState, x: Matrix) -> StepReport:
 
 
 def generate(model: Model, rng: Rng, count: int) -> Matrix:
-    """Decode standard-normal latents; image outputs are clamped to [0, 1]."""
-    z = rng.normal(count, model.latent_dim)
-    x = decode(model, z)
-    if model.output_activation == "sigmoid":
-        np.clip(x, 0.0, 1.0, out=x)
-    return x
+    """Decode standard-normal latents; the sigmoid keeps image outputs in
+    [0, 1] (or NaN), so they need no clamp."""
+    return decode(model, rng.normal(count, model.latent_dim))
 
 
 def reconstruct(model: Model, x: Matrix) -> Matrix:

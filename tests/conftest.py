@@ -18,6 +18,16 @@ def random_spd(rng: Rng, d: int, cond: float = 100.0) -> np.ndarray:
     return (q * vals) @ q.T
 
 
+def assert_same_bits(got, want) -> None:
+    """Equal shapes, NaN where `want` is NaN and the same bytes elsewhere.
+    A NaN's payload is not compared: it may follow operand order."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 @pytest.fixture
 def rng():
     return Rng(12345)
@@ -128,7 +138,7 @@ def corrupt_first_gradient(monkeypatch, amount):
 
 # The separate IMQ-MMD value and gradient calls that the fused
 # `divergences.mmd_imq_value_and_grad` replaced, kept as its bitwise reference.
-def _imq_kernel_matrix(a: Matrix, b: Matrix, c: float) -> Matrix:
+def imq_kernel_matrix(a: Matrix, b: Matrix, c: float) -> Matrix:
     sq = (
         np.sum(a**2, axis=1)[:, None]
         + np.sum(b**2, axis=1)[None, :]
@@ -152,9 +162,9 @@ def mmd_imq(x: Matrix, y: Matrix, scale_c: float = 1.0) -> float:
     if scale_c <= 0:
         raise ValueError(f"scale_c must be positive, got {scale_c}")
     c = scale_c * 2.0 * x.shape[1]
-    kxx = _imq_kernel_matrix(x, x, c)
-    kyy = _imq_kernel_matrix(y, y, c)
-    kxy = _imq_kernel_matrix(x, y, c)
+    kxx = imq_kernel_matrix(x, x, c)
+    kyy = imq_kernel_matrix(y, y, c)
+    kxy = imq_kernel_matrix(x, y, c)
     term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
     term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     cross = 2.0 * kxy.sum() / (n * m)
@@ -168,13 +178,13 @@ def mmd_imq_grad_y(x: Matrix, y: Matrix, scale_c: float = 1.0) -> Matrix:
     n, m = x.shape[0], y.shape[0]
     c = scale_c * 2.0 * x.shape[1]
 
-    kyy = _imq_kernel_matrix(y, y, c)
+    kyy = imq_kernel_matrix(y, y, c)
     w_yy = kyy**2 / c  # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C
     np.fill_diagonal(w_yy, 0.0)
     diff_sum_y = w_yy.sum(axis=1)[:, None] * y - w_yy @ y
     grad = (-4.0 / (m * (m - 1))) * diff_sum_y
 
-    kxy = _imq_kernel_matrix(x, y, c)
+    kxy = imq_kernel_matrix(x, y, c)
     w_xy = kxy**2 / c
     diff_sum_x = w_xy.sum(axis=0)[:, None] * y - w_xy.T @ x
     grad += (4.0 / (n * m)) * diff_sum_x

@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mmd_imq, mmd_imq_grad_y, random_spd, w2_1d_empirical
+from conftest import (
+    assert_same_bits,
+    imq_kernel_matrix,
+    mmd_imq,
+    mmd_imq_grad_y,
+    random_spd,
+    w2_1d_empirical,
+)
 from wwae import divergences, models, nn, spectral
 from wwae.config import TrainConfig
 from wwae.divergences import (
@@ -305,6 +314,78 @@ class TestMmdValueAndGrad:
             assert value == mmd_imq(x, y, scale_c)
             assert grad.shape == y.shape
             assert grad.tobytes() == mmd_imq_grad_y(x, y, scale_c).tobytes()
+
+
+def imq_cases():
+    """(x, y) pairs: n != m, rows of y that repeat rows of x and of y (their
+    squared distance can round below 0 and be clamped), magnitudes near
+    1e150 and past float64 overflow, at latent widths 1 and 16."""
+    cases = []
+    for ell in (1, 16):
+        rng = Rng(ell)
+        for scale in (1.0, 0.1, 1e150, 1e154):
+            x, y = scale * rng.normal(9, ell), scale * rng.normal(6, ell)
+            cases.append((x, y))
+            cases.append((x, np.concatenate([x[:4], y[:2], x[:4], y[:2]])))
+    return cases
+
+
+IMQ_CASES = imq_cases()
+
+
+class TestImqInPlace:
+    # The in-place kernels against the conftest formulas, which allocate a
+    # temporary per step: the same operations, so the same bits.
+
+    def test_cases_reach_the_clamp_and_overflow(self):
+        negative = overflow = 0
+        for _, y in IMQ_CASES:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = np.sum(y**2, axis=1)
+                dist = sq[:, None] + sq[None, :] - 2.0 * y @ y.T
+            negative += int((dist < 0.0).sum())
+            overflow += int(np.isnan(dist).sum())
+        assert negative > 0 and overflow > 0
+
+    @pytest.mark.parametrize("case", range(len(IMQ_CASES)))
+    @pytest.mark.parametrize("scale_c", [0.5, 1.0])
+    def test_bit_equal_to_allocating_formulas(self, case, scale_c):
+        x, y = IMQ_CASES[case]
+        n, m, c = x.shape[0], y.shape[0], scale_c * 2.0 * x.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kxx, kyy, kxy = (imq_kernel_matrix(a, b, c) for a, b in ((x, x), (y, y), (x, y)))
+            x_sq, term_x = np.sum(x**2, axis=1), (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+            value, grad = mmd_imq(x, y, scale_c), mmd_imq_grad_y(x, y, scale_c)
+            side = divergences._imq_prior_side(x, scale_c)
+            parts = [divergences._mmd_imq_parts(x, y, scale_c, s) for s in (None, side)]
+            fused = mmd_imq_value_and_grad(x, y, scale_c)
+        assert side[0] == c
+        assert_same_bits(side[1], x_sq)
+        assert_same_bits(side[2], term_x)
+        for got in parts:
+            assert type(got[0]) is float and got[1] == c
+            for part, want in zip(got, (value, c, kyy, kxy)):
+                assert_same_bits(part, want)
+        assert type(fused[0]) is float
+        assert_same_bits(fused[0], value)
+        assert_same_bits(fused[1], grad)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("fused", [False, True], ids=["parts", "value_and_grad"])
+    def test_peak_memory_is_three_kernel_matrices(self, d, fused):
+        # kyy and kxy are kept and one Gram product is live at a time; the
+        # allocating formulas peaked at about 4 n x m arrays
+        n = m = 256
+        rng = Rng(7)
+        x, y = rng.normal(n, d), rng.normal(m, d)
+        call = mmd_imq_value_and_grad if fused else divergences._mmd_imq_parts
+        tracemalloc.start()
+        try:
+            call(x, y, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * n * m + 4 * (n + m) * d)
 
 
 class TestW21d:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_first_gradient
-from wwae import divergences, gradcheck, models, nn
+from wwae import data, divergences, gradcheck, models, nn
 from wwae.config import TrainConfig
 from wwae.numerics import Rng
 from wwae.spectral import GaussStats
@@ -59,6 +59,28 @@ def test_corrupted_gradients_detected(monkeypatch):
     assert not res.passed
     assert res.max_rel_err > 1e-4
     assert res.worst == "enc.W0[0,0]"
+
+
+def test_idx_check_reads_only_the_batch(monkeypatch, tmp_path):
+    # IDX prefixes are exact, so the check converts only the batch_size rows
+    # it uses and reports what it reports on the whole file
+    blobs = data.make_blob_images(Rng(0), 40, side=5)
+    path = tmp_path / "blobs-images-idx3"
+    data.write_idx_images(path, blobs.examples, blobs.image_shape)
+    cfg = tiny_config(dataset="idx", data_path=str(path), limit=32, regularizer="mmd")
+    whole = data.load_idx(path, None, cfg.limit)
+    want = gradcheck.check_model_grads(cfg, whole.examples[: cfg.batch_size], image_data=True)
+    loads = []
+    load_idx = data.load_idx
+
+    def spy(images_path, labels_path=None, limit=None):
+        ds = load_idx(images_path, labels_path, limit)
+        loads.append((limit, ds.examples.shape))
+        return ds
+
+    monkeypatch.setattr(data, "load_idx", spy)
+    assert gradcheck.check_config(cfg) == want
+    assert loads == [(8, (8, 25))]
 
 
 def test_one_loss_evaluation_per_probe(monkeypatch):

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import config_line, edit_checkpoint_header
+from conftest import assert_same_bits, config_line, edit_checkpoint_header
 from wwae import config, divergences, models, nn, spectral
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.config import TrainConfig
@@ -102,6 +102,47 @@ class TestReparameterize:
         out = EncoderOut(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             reparameterize(out, np.zeros((2, 3)))
+
+
+# NaN, infinities, both zeros, the log-variance bounds and values just
+# past them, and ordinary values.
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 30.0, -30.0, 30.5, -30.5, 1e3, -1e3, 0.7, -1.3]
+
+
+class TestInPlaceBits:
+    # encode, reparameterize and recon_error against the same formulas
+    # written with a temporary per step.
+
+    def test_encode_clamp(self, monkeypatch):
+        k = len(SPECIAL)
+        y = np.array([[SPECIAL[(i + j) % k] for j in range(2 * k)] for i in range(k)])
+        # the trunk output is set directly: no layer could emit -0.0 here
+        monkeypatch.setattr(nn, "mlp_forward", lambda params, x, start=0: (y.copy(), None))
+        out = encode(None, None)
+        assert_same_bits(out.mu, y[:, :k])
+        assert_same_bits(out.logvar, np.clip(y[:, k:], -30.0, 30.0))
+
+    def test_reparameterize(self):
+        triples = np.array(list(itertools.product(SPECIAL, repeat=3)))
+        out = EncoderOut(triples[:, :1], triples[:, 1:2])
+        eps = triples[:, 2:].copy()
+        with np.errstate(all="ignore"):
+            want = out.mu + np.exp(0.5 * out.logvar) * eps
+            got = reparameterize(out, eps)
+        assert_same_bits(got, want)
+        assert type(got) is np.ndarray and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_recon_error(self, value):
+        rng = Rng(3)
+        x, x_hat = rng.uniform(64, 50), rng.uniform(64, 50)
+        x[5, 7], x_hat[9, 1], x_hat[0, 0] = value, value, -0.0
+        for a, b in ((x, x_hat), (x_hat, x), (x[:1, :1], x_hat[:1, :1])):
+            with np.errstate(all="ignore"):
+                want = float(np.mean(np.sum((a - b) ** 2, axis=1)))
+                got = models.recon_error(a, b)
+            assert type(got) is float
+            assert_same_bits(got, want)
 
 
 def linear_model(enc_w, enc_b, dec_w, dec_b) -> Model:
@@ -513,6 +554,23 @@ class TestGenerateReconstruct:
         want = np.clip(1 / (1 + np.exp(-y)), 0, 1)
         assert decode(m, z).tobytes() == want.tobytes()
         assert generate(m, Rng(4), 50).tobytes() == want.tobytes()
+
+    def test_generate_equals_decode_at_extreme_logits(self):
+        # the sigmoid already lies in [+0, 1] or is NaN, so generate adds no clamp
+        ell = 3
+        logits = np.array([1e3, -1e3, np.inf, -np.inf, np.nan, 0.0, -0.0, 40.0, -40.0])
+        enc = nn.MlpParams([np.zeros((2 * ell, 9))], [np.zeros(2 * ell)])
+        dec = nn.MlpParams([np.zeros((9, ell))], [logits])
+        m = Model(enc, dec, ell, "sigmoid")
+        with np.errstate(over="ignore"):
+            x = generate(m, Rng(4), 6)
+            want = decode(m, Rng(4).normal(6, ell))
+        assert_same_bits(x, want)
+        assert np.isnan(x[:, 4]).all()
+        assert np.array_equal(x[:, :4], np.tile([1.0, 0.0, 1.0, 0.0], (6, 1)))
+        finite = np.delete(x, 4, axis=1)
+        assert (finite >= 0.0).all() and (finite <= 1.0).all()
+        assert not np.signbit(finite).any()
 
     def test_reconstruct_uses_posterior_mean(self):
         cfg = ring_config()
