@@ -1,6 +1,6 @@
-"""Train an auto-encoder on the 8-mode Gaussian ring and report how well
-the aggregated posterior matches the prior and how many modes the decoder
-actually generates.
+"""Train an auto-encoder on the 8-mode Gaussian ring through the CLI, then
+report how well the aggregated posterior matches the prior and how many
+modes the decoder actually generates.
 
 Usage:
     python scripts/ring_experiment.py --regularizer w2 --lam 10 --steps 2000
@@ -11,8 +11,10 @@ import time
 from pathlib import Path
 
 from wwae import metrics, models
-from wwae.config import TrainConfig
-from wwae.data import batches, load_dataset, ring_centers
+from wwae.checkpoint import load_checkpoint
+from wwae.cli import main as cli
+from wwae.config import TrainConfig, config_lines
+from wwae.data import load_dataset, ring_centers
 from wwae.images import write_latent_csv, write_points_csv
 from wwae.metrics import latent_report, latent_summary
 from wwae.numerics import Rng
@@ -28,6 +30,8 @@ def main() -> None:
     ap.add_argument("--out", default="ring_out")
     args = ap.parse_args()
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(
         dataset="ring",
         limit=8192,
@@ -42,30 +46,24 @@ def main() -> None:
         steps=args.steps,
         seed=args.seed,
         lr=0.01,
-        out_dir=args.out,
+        out_dir=str(out / "run"),
     ).validate()
-
-    root = Rng(cfg.seed)
-    ds = load_dataset(cfg, root.split(3))
-    state = models.init_train_state(cfg, ds.dim, ds.image_shape)
-    stream = batches(ds, cfg.batch_size, state.data_rng)
+    cfg_path = out / "train.cfg"
+    cfg_path.write_text("\n".join(config_lines(cfg)) + "\n")
 
     started = time.monotonic()
-    for _ in range(cfg.steps):
-        report = models.train_step(state, next(stream))
-        if report.step % 200 == 0:
-            print(
-                f"step={report.step} total={report.total:.4f} "
-                f"recon={report.recon:.4f} reg={report.reg:.4f}"
-            )
+    rc = cli(["train", "--config", str(cfg_path)])
+    if rc != 0:
+        raise SystemExit(rc)
 
+    state = load_checkpoint(out / "run" / "model.ckpt")
+    root = Rng(cfg.seed)
+    ds = load_dataset(cfg, root.split(3))
     rep = latent_report(state.model.enc, ds, root.split(5), 4096)
     mu_norm, cov_dist = latent_summary(rep.stats)
     samples = models.generate(state.model, root.split(6), 4096)
     covered, hq = metrics.mode_coverage(samples, ring_centers(), max_dist=0.3)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_points_csv(out / "generated.csv", samples)
     write_latent_csv(out / "latent.csv", rep.codes, rep.labels)
     print(f"latent_mu_norm={mu_norm:.4f} latent_cov_dist={cov_dist:.4f}")

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -162,9 +162,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    state = load_checkpoint(args.ckpt)
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
+    state = load_checkpoint(args.ckpt)
     rng = Rng(args.seed)
     out = _write_sample_artifact(state, rng, Path(args.out), args.count)
     print(f"wrote {out} count={args.count}")
@@ -175,13 +175,10 @@ def _dataset_for(
     state: TrainState, data_path: Optional[str], limit: Optional[int] = None
 ) -> data.Dataset:
     """The first `limit` rows (all when None) of an explicit IDX path, else of
-    the training set. Ring data is not prefix-stable, so it is built whole."""
+    the training set, as `data.load_dataset` reads it."""
     if data_path:
         return data.load_idx(data_path, data.derive_labels_path(data_path), limit)
-    cfg = state.config
-    if cfg.dataset == "idx" and limit is not None:
-        cfg = replace(cfg, limit=min(limit, cfg.limit))
-    return data.load_dataset(cfg, Rng(cfg.seed).split(3))
+    return data.load_dataset(state.config, Rng(state.config.seed).split(3), limit)
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:

@@ -197,17 +197,19 @@ def derive_labels_path(images_path: str | Path) -> Optional[Path]:
     return candidate if candidate.is_file() else None
 
 
-def load_dataset(cfg, rng: Rng) -> Dataset:
+def load_dataset(cfg, rng: Rng, rows: Optional[int] = None) -> Dataset:
     """Materialize the dataset a TrainConfig names.
 
-    Ring data is synthesized from the given rng; IDX data comes from
-    cfg.data_path, with labels picked up by filename convention when the
-    companion file is present.
+    Ring data is synthesized whole from the given rng, since a smaller ring
+    is not a prefix of a larger one. IDX data comes from cfg.data_path,
+    only its first `rows` rows (all `limit` when None) are read, and labels
+    are picked up by filename convention when the companion file is present.
     """
     if cfg.dataset == "ring":
         return make_ring(rng, cfg.limit)
     if cfg.dataset == "idx":
-        return load_idx(cfg.data_path, derive_labels_path(cfg.data_path), cfg.limit)
+        limit = cfg.limit if rows is None else min(rows, cfg.limit)
+        return load_idx(cfg.data_path, derive_labels_path(cfg.data_path), limit)
     raise ValueError(f"unknown dataset kind {cfg.dataset!r}")
 
 

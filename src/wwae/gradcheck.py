@@ -4,15 +4,16 @@ Probes every encoder and decoder parameter of a model built from a config,
 holding the batch and all sampling noise fixed, and compares analytic
 gradients against central differences of the same loss. One full
 `models.loss_and_grads` call gives the analytic gradients and its forward
-record; each of the 2n probes passes `grads=False` and that record, so it
-runs no backward pass and recomputes only from the bumped layer on, with
-the bits of a full forward. This is the decisive correctness gate for the
-hand-written backward passes.
+record: each network's layer inputs, the regularizer value and its prior
+side. Each of the 2n probes passes `grads=False` and that record, so it
+runs no backward pass and recomputes only from the bumped layer's input
+on, with the bits of a full forward. This is the decisive correctness gate
+for the hand-written backward passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -97,10 +98,9 @@ def check_model_grads(
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:
-    """Run the suite on the first batch of the configured dataset. IDX
-    prefixes are exact, so only that batch is read; ring data is built whole."""
-    limit = min(cfg.limit, cfg.batch_size) if cfg.dataset == "idx" else cfg.limit
-    dataset = data.load_dataset(replace(cfg, limit=limit), Rng(cfg.seed).split(3))
+    """Run the suite on the first batch of the configured dataset; of IDX
+    data only that batch is read."""
+    dataset = data.load_dataset(cfg, Rng(cfg.seed).split(3), cfg.batch_size)
     if cfg.batch_size > dataset.n:  # as `wwae train` refuses it
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
     return check_model_grads(

@@ -27,11 +27,11 @@ LOGVAR_MIN, LOGVAR_MAX = -30.0, 30.0
 @dataclass
 class EncoderOut:
     """Per-example latent mean and log-variance (clamped), and the encoder
-    tape that the backward pass needs."""
+    layer inputs that the backward pass needs."""
 
     mu: Matrix
     logvar: Matrix
-    tape: Optional[nn.Tape] = None
+    inputs: Optional[list[Matrix]] = None
 
 
 @dataclass
@@ -105,10 +105,10 @@ def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> 
 
 def encode(params: nn.MlpParams, x: Matrix, start: int = 0) -> EncoderOut:
     """Split the trunk output into mean and clamped log-variance heads."""
-    y, tape = nn.mlp_forward(params, x, start)
+    y, inputs = nn.mlp_forward(params, x, start)
     ell = y.shape[1] // 2
     logvar = np.maximum(y[:, ell:], LOGVAR_MIN)
-    return EncoderOut(y[:, :ell], np.minimum(logvar, LOGVAR_MAX, out=logvar), tape)
+    return EncoderOut(y[:, :ell], np.minimum(logvar, LOGVAR_MAX, out=logvar), inputs)
 
 
 def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
@@ -122,18 +122,15 @@ def reparameterize(out: EncoderOut, eps: Matrix) -> Matrix:
     return z
 
 
-def _decode(model: Model, z: Matrix, start: int = 0) -> tuple[Matrix, nn.Tape]:
-    y, tape = nn.mlp_forward(model.dec, z, start)
+def _decode(model: Model, z: Matrix, start: int = 0) -> tuple[Matrix, list[Matrix]]:
+    y, inputs = nn.mlp_forward(model.dec, z, start)
     if model.output_activation == "sigmoid":
-        # 1 / (1 + exp(-y)), operation for operation, in place. This
-        # overwrites the output layer's pre-activation in the tape, which
-        # is safe only because that layer is linear: its backward
-        # never reads the pre-activation.
+        # 1 / (1 + exp(-y)), operation for operation, in place.
         np.negative(y, out=y)
         np.exp(y, out=y)
         y += 1.0
         np.divide(1.0, y, out=y)
-    return y, tape
+    return y, inputs
 
 
 def decode(model: Model, z: Matrix) -> Matrix:
@@ -208,11 +205,11 @@ REGULARIZERS = {"w2": _w2_term, "kl": _kl_term, "mmd": _mmd_term}
 
 @dataclass
 class Forward:
-    """Each network's tape, the regularizer value and its prior side, as one
-    `loss_and_grads` call computed them."""
+    """Each network's layer inputs, the regularizer value and its prior
+    side, as one `loss_and_grads` call computed them."""
 
-    enc_tape: nn.Tape
-    dec_tape: nn.Tape
+    enc_inputs: list[Matrix]
+    dec_inputs: list[Matrix]
     reg: float
     prior_side: object
 
@@ -264,14 +261,14 @@ def loss_and_grads(
     n = x.shape[0]
     record, net, layer = probe or (None, "enc", 0)
     if net == "enc":
-        out = encode(model.enc, record.enc_tape.inputs[layer] if record else x, layer)
+        out = encode(model.enc, record.enc_inputs[layer] if record else x, layer)
         z = reparameterize(out, eps)
-        x_hat, dec_tape = _decode(model, z)
+        x_hat, dec_inputs = _decode(model, z)
         reg, reg_z, reg_mu, reg_logvar, side = REGULARIZERS[cfg.regularizer](
             cfg, z, out, z_prior, prior_stats, grads, record.prior_side if record else None
         )
     else:
-        x_hat, dec_tape = _decode(model, record.dec_tape.inputs[layer], layer)
+        x_hat, dec_inputs = _decode(model, record.dec_inputs[layer], layer)
         reg = record.reg
     recon = recon_error(x, x_hat)
     parts = LossParts(recon + cfg.lam * reg, recon, reg)
@@ -283,9 +280,9 @@ def loss_and_grads(
     if model.output_activation == "sigmoid":
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
-    forward = Forward(out.tape, dec_tape, reg, side) if probe else None
+    forward = Forward(out.inputs, dec_inputs, reg, side) if probe else None
     result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
-    d_z = nn.mlp_backward(model.dec, dec_tape, d_xhat, out=result.dec)
+    d_z = nn.mlp_backward(model.dec, dec_inputs, d_xhat, out=result.dec)
 
     # The regularizer gradients are added only when weighted: at lam = 0
     # they hold zeros that would turn -0.0 into 0.0, or NaN from 0 * inf.
@@ -300,7 +297,7 @@ def loss_and_grads(
     d_logvar = d_logvar * ((out.logvar > LOGVAR_MIN) & (out.logvar < LOGVAR_MAX))
 
     grad_enc_y = np.concatenate([d_mu, d_logvar], axis=1)
-    nn.mlp_backward(model.enc, out.tape, grad_enc_y, out=result.enc, input_grad=False)
+    nn.mlp_backward(model.enc, out.inputs, grad_enc_y, out=result.enc, input_grad=False)
     return parts, result
 
 

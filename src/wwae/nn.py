@@ -1,12 +1,14 @@
-"""Minimal fully-connected stack: forward with a per-call tape, exact
-reverse-mode backward, parameter flattening, He/Xavier init, and Adam with
-stepwise learning-rate decay.
+"""Minimal fully-connected stack: forward that records each layer's input,
+exact reverse-mode backward, parameter flattening, He/Xavier init, and Adam
+with stepwise learning-rate decay.
 
 Activations follow position: every layer but the last is ReLU and the last
 is linear, so a stack is fully described by its widths.
 
 No autodiff graph: the model topology is fixed (one encoder, one decoder),
-so each forward returns the tape its backward needs.
+so each forward returns the layer inputs its backward needs. The input of
+layer i + 1 is the ReLU of layer i's pre-activation, positive exactly where
+that pre-activation is, so it also holds layer i's ReLU mask.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ def n_params(widths: list[int]) -> int:
 
 
 @dataclass
-class Tape:
-    """Everything backward needs from one forward call."""
-
-    inputs: list[Matrix]  # input to each layer
-    preacts: list[Matrix]  # pre-activation of each layer
-
-
-@dataclass
 class AdamState:
     """Adam moments plus a stepwise-decay learning-rate schedule.
 
@@ -93,55 +87,57 @@ class AdamState:
         return self.lr * self.decay_factor ** (self.t // self.decay_every)
 
 
-def mlp_forward(params: MlpParams, x: Matrix, start: int = 0) -> tuple[Matrix, Tape]:
+def mlp_forward(params: MlpParams, x: Matrix, start: int = 0) -> tuple[Matrix, list[Matrix]]:
     """Apply layers `start` onward to x, a batch of rows at the input of
-    layer `start`; returns output and the tape of the layers run."""
+    layer `start`; returns the output and the input of each layer run.
+    Each layer allocates one array, its pre-activation, and a hidden
+    layer's ReLU runs in place on it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[start].shape[1]:
         raise ValueError(
             f"input shape {x.shape} does not match layer {start} input width "
             f"{params.weights[start].shape[1]}"
         )
-    inputs, preacts = [], []
+    inputs = []
     a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights[start:], params.biases[start:]), start):
         inputs.append(a)
-        s = a @ w.T
-        s += b
-        preacts.append(s)
-        a = s if i == last else np.maximum(s, 0.0)
-    return a, Tape(inputs, preacts)
+        a = a @ w.T
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    return a, inputs
 
 
 def mlp_backward(
     params: MlpParams,
-    tape: Tape,
+    inputs: list[Matrix],
     grad_y: Matrix,
     out: np.ndarray,
     input_grad: bool = True,
 ) -> Optional[Matrix]:
     """Exact gradients of <grad_y, output> w.r.t. parameters and input.
 
-    The parameter gradients are written into `out` in the `flatten_params`
+    `inputs` is the list `mlp_forward` returned for the whole stack. The
+    parameter gradients are written into `out` in the `flatten_params`
     layout; the input gradient is returned, or None with `input_grad=False`.
     """
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    if len(tape.preacts) != len(params.weights):
-        raise ValueError("tape does not match network depth")
-    if grad_y.shape != tape.preacts[-1].shape:
-        raise ValueError(
-            f"grad shape {grad_y.shape} does not match output {tape.preacts[-1].shape}"
-        )
+    if len(inputs) != len(params.weights):
+        raise ValueError("layer inputs do not match network depth")
+    y_shape = (inputs[-1].shape[0], params.weights[-1].shape[0])
+    if grad_y.shape != y_shape:
+        raise ValueError(f"grad shape {grad_y.shape} does not match output {y_shape}")
     grads = param_views(out, params.widths)
     ds = grad_y  # the last layer is linear
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
-        np.matmul(ds.T, tape.inputs[i], out=grads.weights[i])
+        np.matmul(ds.T, inputs[i], out=grads.weights[i])
         np.add.reduce(ds, axis=0, out=grads.biases[i])
         if i == 0:
             return ds @ w if input_grad else None
-        ds = (ds @ w) * (tape.preacts[i - 1] > 0.0)  # ReLU subgradient at 0 is 0
+        ds = (ds @ w) * (inputs[i] > 0.0)  # ReLU subgradient at 0 is 0
 
 
 def init_params(rng: Rng, widths: list[int]) -> MlpParams:

@@ -9,6 +9,7 @@ every threshold below is part of the contract of a release build.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_spd, w2_1d_empirical
 from wwae import divergences, gradcheck, metrics, models
@@ -169,6 +170,7 @@ def test_criterion_4_spectral_kernel_roundtrip_and_gradient():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_ring_latent_matching_and_coverage():
     started = time.monotonic()
     # Narrow-deep MLPs interpolate sharply between the learned latent
@@ -219,6 +221,7 @@ def test_criterion_5_ring_latent_matching_and_coverage():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_image_training_beats_untrained_baseline():
     started = time.monotonic()
     cfg = TrainConfig(

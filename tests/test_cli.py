@@ -12,7 +12,7 @@ from conftest import (
     read_pgm,
 )
 from wwae import data as wwae_data
-from wwae import metrics
+from wwae import cli, metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.cli import main
 from wwae.data import make_blob_images, write_idx_images, write_idx_labels
@@ -293,6 +293,19 @@ class TestSample:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "count must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_count_reads_no_checkpoint(
+        self, image_run, tmp_path, capsys, monkeypatch, count
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path))
+        rc = main(["sample", "--ckpt", str(image_run["ckpt"]), "--count", count,
+                   "--out", str(tmp_path / "s.pgm")])
+        assert rc == 1 and loads == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: count must be positive, got {count}"]
+        assert not (tmp_path / "s.pgm").exists()
 
 
     def test_count_too_large_to_allocate_is_one_error_line(self, ring_run, tmp_path, capsys):

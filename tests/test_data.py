@@ -203,12 +203,17 @@ def test_load_dataset_ring_and_idx(tmp_path):
     cfg = TrainConfig(dataset="ring", limit=64).validate()
     ds = load_dataset(cfg, Rng(1))
     assert ds.n == 64 and ds.image_shape is None
+    # a ring is built whole: a smaller one is not a prefix of it
+    assert load_dataset(cfg, Rng(1), rows=8).examples.tobytes() == ds.examples.tobytes()
 
     ip = tmp_path / "tiny-images-idx3-ubyte"
-    write_idx_images(ip, np.zeros((4, 4)), (2, 2))
+    write_idx_images(ip, np.arange(16.0).reshape(4, 4) / 15.0, (2, 2))
     cfg = TrainConfig(dataset="idx", data_path=str(ip), limit=3).validate()
     ds = load_dataset(cfg, Rng(1))
     assert ds.n == 3 and ds.image_shape == (2, 2)
+    # IDX reads the first `rows` rows, never more than `limit`
+    assert [load_dataset(cfg, Rng(1), rows).n for rows in (1, 2, 3, 4)] == [1, 2, 3, 3]
+    assert load_dataset(cfg, Rng(1), 2).examples.tobytes() == ds.examples[:2].tobytes()
 
 
 def test_dataset_validation():

@@ -250,8 +250,7 @@ def record_bytes(forward):
     if isinstance(side, tuple) and isinstance(side[0], GaussStats):
         side = (side[0].mean, side[0].cov, side[1])
     values = [
-        *forward.enc_tape.inputs, *forward.enc_tape.preacts,
-        *forward.dec_tape.inputs, *forward.dec_tape.preacts,
+        *forward.enc_inputs, *forward.dec_inputs,
         forward.reg, *(side or ()),
     ]
     return [np.asarray(v).tobytes() for v in values]

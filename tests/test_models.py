@@ -238,8 +238,8 @@ class TestBuildModel:
             for w, b in zip(net.weights, net.biases):
                 w[...] = 0.0
                 b[...] = -1.0
-            y, tape = nn.mlp_forward(net, np.ones((1, net.widths[0])))
-            assert all(np.all(a == 0.0) for a in tape.inputs[1:])
+            y, inputs = nn.mlp_forward(net, np.ones((1, net.widths[0])))
+            assert all(np.all(a == 0.0) for a in inputs[1:])
             np.testing.assert_array_equal(y, -np.ones((1, net.widths[-1])))
         assert m.output_activation == "identity"
 

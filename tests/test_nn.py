@@ -24,10 +24,10 @@ def identity_layer(d):
     return MlpParams([np.eye(d)], [np.zeros(d)])
 
 
-def backward(p, tape, gy):
+def backward(p, inputs, gy):
     """mlp_backward into a fresh vector; its layer views and the input gradient."""
     flat = np.empty(p.n_params())
-    gx = mlp_backward(p, tape, gy, out=flat)
+    gx = mlp_backward(p, inputs, gy, out=flat)
     return param_views(flat, p.widths), gx
 
 
@@ -61,16 +61,35 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(identity_layer(2), np.zeros((3, 5)))
 
+    def test_allocates_one_array_per_layer(self):
+        # each layer's pre-activation is its only batch x width array: the
+        # ReLU runs in place on it and it becomes the next layer's input
+        widths = [16, 256, 32, 32, 8]  # the widest first, as in an encoder
+        p = init_params(Rng(5), widths)
+        x = Rng(6).normal(1024, widths[0])
+        tracemalloc.start()
+        try:
+            y, inputs = mlp_forward(p, x)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layer_bytes = [1024 * w * 8 for w in widths[1:]]
+        assert [a.nbytes for a in inputs[1:]] + [y.nbytes] == layer_bytes
+        assert inputs[0] is x
+        assert sum(layer_bytes) <= kept < sum(layer_bytes) + 4096
+        # the bias add's ufunc buffer comes and goes; it is not a layer array
+        assert peak - kept < min(layer_bytes[:-1])
+
 
 class TestBackward:
     def test_writes_into_given_vector(self):
         p = init_params(Rng(8), [3, 4, 2])
         x = Rng(9).normal(5, 3)
         gy = Rng(10).normal(5, 2)
-        _, tape = mlp_forward(p, x)
-        g, gx = backward(p, tape, gy)
+        _, inputs = mlp_forward(p, x)
+        g, gx = backward(p, inputs, gy)
         out = np.full(p.n_params() + 2, np.nan)
-        none = mlp_backward(p, tape, gy, out=out[1:-1], input_grad=False)
+        none = mlp_backward(p, inputs, gy, out=out[1:-1], input_grad=False)
         g2 = param_views(out[1:-1], p.widths)
         assert none is None and gx.shape == x.shape
         assert out[1:-1].tobytes() == flatten_params(g).tobytes()
@@ -81,28 +100,66 @@ class TestBackward:
         p = init_params(Rng(11), [5, 7, 6, 3])
         x = Rng(12).normal(9, 5)
         gy = Rng(13).normal(9, 3)
-        _, tape = mlp_forward(p, x)
-        g, gx = backward(p, tape, gy)
+        _, inputs = mlp_forward(p, x)
+        g, gx = backward(p, inputs, gy)
+        for i in range(2):  # each hidden layer's input is the last one's ReLU
+            s = inputs[i] @ p.weights[i].T + p.biases[i]
+            assert inputs[i + 1].tobytes() == np.maximum(s, 0.0).tobytes()
         grad_a = gy
         for i in reversed(range(3)):
-            ds = grad_a * (tape.preacts[i] > 0.0) if i < 2 else grad_a
-            assert g.weights[i].tobytes() == (ds.T @ tape.inputs[i]).tobytes()
+            ds = grad_a * (inputs[i + 1] > 0.0) if i < 2 else grad_a
+            assert g.weights[i].tobytes() == (ds.T @ inputs[i]).tobytes()
             assert g.biases[i].tobytes() == np.sum(ds, axis=0).tobytes()
             grad_a = ds @ p.weights[i]
         assert gx.tobytes() == grad_a.tobytes()
 
+    def test_relu_mask_from_inputs_matches_preactivation_mask(self):
+        # A forward record once held each layer's pre-activation s next to
+        # its input, and backward masked with s > 0. The next layer's input
+        # max(s, 0) is positive exactly where s is, so backward gives the
+        # same bits from the inputs alone: at +0, -0, NaN and +-inf, and in
+        # dead units. The pre-activations are written out here, and the
+        # inputs built from them as that forward built them.
+        p = init_params(Rng(14), [4, 6, 5, 3])
+        preacts = [Rng(15).normal(8, 6), Rng(16).normal(8, 5), None]
+        for s in preacts[:2]:
+            s[:5, 0] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+            s[:, 1] = -np.abs(s[:, 1])  # a dead unit: no row passes
+        inputs = [Rng(17).normal(8, 4)] + [np.maximum(s, 0.0) for s in preacts[:2]]
+        gy = Rng(18).normal(8, 3)
+        g, gx = backward(p, inputs, gy)
+        grad_a = gy
+        for i in reversed(range(3)):
+            ds = grad_a * (preacts[i] > 0.0) if i < 2 else grad_a
+            assert g.weights[i].tobytes() == (ds.T @ inputs[i]).tobytes()
+            assert g.biases[i].tobytes() == np.sum(ds, axis=0).tobytes()
+            grad_a = ds @ p.weights[i]
+        assert gx.tobytes() == grad_a.tobytes()
+        assert np.all(np.isfinite(gx))  # the NaN and inf units are masked off
+        assert np.signbit(preacts[0][1, 0]) and np.all(g.weights[0][1] == 0.0)
+
     def test_wrong_gradient_length(self):
         p = init_params(Rng(8), [3, 4, 2])
-        y, tape = mlp_forward(p, Rng(9).normal(5, 3))
+        y, inputs = mlp_forward(p, Rng(9).normal(5, 3))
         with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
-            mlp_backward(p, tape, y, out=np.empty(p.n_params() + 1))
+            mlp_backward(p, inputs, y, out=np.empty(p.n_params() + 1))
         with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
-            mlp_backward(p, tape, y, out=np.empty(p.n_params() - 1))
+            mlp_backward(p, inputs, y, out=np.empty(p.n_params() - 1))
+
+    def test_rejects_partial_record_and_wrong_grad_shape(self):
+        p = init_params(Rng(8), [3, 4, 2])
+        x = Rng(9).normal(5, 3)
+        _, inputs = mlp_forward(p, x)
+        y, partial = mlp_forward(p, inputs[1], start=1)
+        with pytest.raises(ValueError, match="do not match network depth"):
+            mlp_backward(p, partial, y, out=np.empty(p.n_params()))
+        with pytest.raises(ValueError, match=r"\(5, 3\) does not match output \(5, 2\)"):
+            mlp_backward(p, inputs, np.zeros((5, 3)), out=np.empty(p.n_params()))
 
     def test_zero_grad(self):
         p = identity_layer(3)
-        y, tape = mlp_forward(p, np.ones((2, 3)))
-        g, gx = backward(p, tape, np.zeros_like(y))
+        y, inputs = mlp_forward(p, np.ones((2, 3)))
+        g, gx = backward(p, inputs, np.zeros_like(y))
         assert all(np.all(w == 0.0) for w in g.weights)
         assert all(np.all(b == 0.0) for b in g.biases)
         np.testing.assert_array_equal(gx, np.zeros((2, 3)))
@@ -111,9 +168,9 @@ class TestBackward:
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         p = MlpParams([w], [np.zeros(2)])
         x = np.array([[1.0, -1.0], [2.0, 0.5]])
-        y, tape = mlp_forward(p, x)
+        y, inputs = mlp_forward(p, x)
         gy = np.array([[1.0, 0.0], [0.0, 1.0]])
-        g, gx = backward(p, tape, gy)
+        g, gx = backward(p, inputs, gy)
         np.testing.assert_allclose(g.weights[0], gy.T @ x)
         np.testing.assert_allclose(g.biases[0], gy.sum(axis=0))
         np.testing.assert_allclose(gx, gy @ w)
@@ -123,8 +180,8 @@ class TestBackward:
         p = init_params(rng, [4, 5, 5, 2])
         x = rng.normal(3, 4)
         gy = rng.normal(3, 2)
-        _, tape = mlp_forward(p, x)
-        g, gx = backward(p, tape, gy)
+        _, inputs = mlp_forward(p, x)
+        g, gx = backward(p, inputs, gy)
 
         def scalar(params):
             y, _ = mlp_forward(params, x)
