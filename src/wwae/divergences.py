@@ -4,7 +4,8 @@ Training makes one call per penalty that returns the value and its gradient
 together, so the two share their eigendecompositions (W2) or kernel matrices
 (MMD). `gaussian_w2` and `_mmd_imq_parts` compute the value alone, with the
 same operations and so the same bits; FID uses the first, loss-only
-evaluations both. Each also takes the prior's side precomputed: Sp's root, x's kxx.
+evaluations both. Each also takes the terms of the prior's side precomputed
+(Sp's root; x's kxx term), which training computes once per step.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -31,19 +32,13 @@ class W2Variant(enum.Enum):
     BURES = "bures"
 
 
-def _cov_root(cov: Matrix) -> Matrix:
-    """`sqrtm_psd(cov)`, which is I bit for bit when cov is I: no eigh."""
-    eye = np.eye(len(cov))
-    return eye if np.array_equal(cov, eye) else sqrtm_psd(cov)
-
-
 def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None):
     """The `gaussian_w2` value, the root of Sp (`p_root` if given), and the
     eigendecomposition of Sq (root_product) or of Sp^{1/2} Sq Sp^{1/2}
     (bures) that the gradient shares with the value."""
     if p.dim != q.dim or p.cov.shape != q.cov.shape:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    p_root = _cov_root(p.cov) if p_root is None else p_root
+    p_root = sqrtm_psd(p.cov) if p_root is None else p_root
     if variant is W2Variant.ROOT_PRODUCT:
         dec = eigh_psd(q.cov)
         cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))

@@ -4,11 +4,11 @@ Probes every encoder and decoder parameter of a model built from a config,
 holding the batch and all sampling noise fixed, and compares analytic
 gradients against central differences of the same loss. One full
 `models.loss_and_grads` call gives the analytic gradients and its forward
-record: each network's layer inputs, the regularizer value and its prior
-side. Each of the 2n probes passes `grads=False` and that record, so it
-runs no backward pass and recomputes only from the bumped layer's input
-on, with the bits of a full forward. This is the decisive correctness gate
-for the hand-written backward passes.
+record: each network's layer inputs and the regularizer value. Each of the
+2n probes passes `grads=False`, that record and the step's prior terms, so
+it runs no backward pass, takes nothing from the prior again and recomputes
+only from the bumped layer's input on, with the bits of a full forward.
+This is the decisive correctness gate for the hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ def check_model_grads(
     n = x.shape[0]
     root = Rng(cfg.seed)
     model = models.build_model(cfg, x.shape[1], root.split(2), image_data=image_data)
-    z_prior, prior_stats, eps = models.draw_step_noise(
-        cfg, root.split(1), n, cfg.latent_dim
-    )
+    z_prior, prior, eps = models.draw_step_noise(cfg, root.split(1), n, cfg.latent_dim)
 
-    args = (model, cfg, x, eps, z_prior, prior_stats)
+    args = (model, cfg, x, eps, z_prior, prior)
     _, grads = models.loss_and_grads(*args, probe=(None, "enc", 0))
 
     # The model is this function's own: each probe bumps one coordinate of

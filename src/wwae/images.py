@@ -4,7 +4,8 @@ ASCII magic line, a one-line JSON header, then raw little-endian float64
 blocks whose sizes the header gives.
 
 Uncompressed P5 keeps image artifacts byte-exact under fixed seeds, so
-golden-file tests can compare whole files.
+golden-file tests can compare whole files. Every writer here replaces its
+file through `atomic_open`, so a failed write leaves the old file whole.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def write_pgm(path: str | Path, img: Matrix) -> None:
     if data.ndim != 2:
         raise ValueError(f"PGM needs an h x w matrix, got shape {data.shape}")
     h, w = data.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
@@ -105,7 +106,7 @@ def _write_table(
         for row, label in zip(rows, np.asarray(labels).tolist()):
             row.append(label)
     table = (",".join(cells) + "\n") * n
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(header + table % tuple(itertools.chain.from_iterable(rows)))
 
 

@@ -4,14 +4,14 @@ analytic gradients (or its value alone, for finite-difference probes), and
 the single-step training update.
 
 Gradient flow for the W2 and MMD regularizers runs through the encoded-side
-batch only; the prior batch drawn each step is a constant with respect to
-the model parameters.
+batch only; what each takes from the prior alone is a constant with respect
+to the model parameters, drawn and computed once per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -146,72 +146,82 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
     return float(np.add.reduce(np.add.reduce(err, axis=1))) / x.shape[0]
 
 
-# A regularizer entry takes the codes z, the encoder output and the prior
-# noise of `loss_and_grads`, and returns its value, the gradients of
-# lam * value with respect to z, the means and the log-variances, and the
-# terms it computes from the prior alone (taken from `side` if given); None
-# stands for a gradient it lacks, and every gradient is None with `grads=False`.
-RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix], object]
+# A regularizer is a pair. `prior(cfg, rng, n, ell)` draws the step's prior
+# batch, or none, and returns it with the terms taken from the prior alone,
+# constant in the parameters. `term(cfg, z, out, z_prior, prior, grads)`
+# returns the value and the gradients of lam * value with respect to the
+# codes z, the means and the log-variances; None stands for a gradient it
+# lacks, and every gradient is None with `grads=False`.
+RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix]]
 
 
-def _w2_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
-) -> RegTerm:
-    """Closed-form W2 between the prior statistics (exact, or fitted to the
-    prior batch) and the fit to the codes; the prior side adds their root."""
-    if side is None:
-        if prior_stats is None and z_prior is None:
-            raise ValueError("sampled prior statistics need a prior batch")
-        p = spectral.batch_stats(z_prior) if prior_stats is None else prior_stats
-        side = p, divergences._cov_root(p.cov)
-    (p, p_root), q, variant = side, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
+class Regularizer(NamedTuple):
+    prior: Callable[..., tuple[Optional[Matrix], Any]]
+    term: Callable[..., RegTerm]
+
+
+def _w2_prior(cfg: TrainConfig, rng: Rng, n: int, ell: int):
+    """The prior statistics, exact (0, I) or fitted to a prior batch, and
+    their covariance root; I is its own root, so it takes no eigh."""
+    if cfg.prior_stats == "exact":
+        return None, (GaussStats(np.zeros(ell), np.eye(ell)), np.eye(ell))
+    z_prior = rng.normal(n, ell)
+    p = spectral.batch_stats(z_prior)
+    return z_prior, (p, spectral.sqrtm_psd(p.cov))
+
+
+def _w2_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads) -> RegTerm:
+    """Closed-form W2 between the prior statistics and the fit to the codes."""
+    (p, p_root), q, variant = prior, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
     if not grads:
-        return divergences.gaussian_w2(p, q, variant, p_root), None, None, None, side
+        return divergences.gaussian_w2(p, q, variant, p_root), None, None, None
     value, gm, gc = divergences.gaussian_w2_value_and_grad(p, q, variant, p_root)
     d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc)
-    return value, d_z, None, None, side
+    return value, d_z, None, None
 
 
-def _kl_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
-) -> RegTerm:
+def _kl_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads) -> RegTerm:
     """KL of each diagonal posterior to N(0, I), averaged over the batch."""
     mu, logvar = out.mu, out.logvar
     n = mu.shape[0]
     value = float(0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0)) / n
     if not grads:
-        return value, None, None, None, None
+        return value, None, None, None
     d_mu = cfg.lam * mu / n
     d_logvar = cfg.lam * (np.exp(logvar) - 1.0) / (2.0 * n)
-    return value, None, d_mu, d_logvar, None
+    return value, None, d_mu, d_logvar
 
 
-def _mmd_term(
-    cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior_stats, grads: bool, side=None
-) -> RegTerm:
+def _mmd_prior(cfg: TrainConfig, rng: Rng, n: int, ell: int):
+    """A prior batch and its kernel terms: C, its squared norms, kxx's term."""
+    z_prior = rng.normal(n, ell)
+    return z_prior, divergences._imq_prior_side(z_prior, cfg.mmd_scale)
+
+
+def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads) -> RegTerm:
     """IMQ-kernel MMD between the prior batch and the codes."""
-    if z_prior is None:
-        raise ValueError("mmd regularizer needs a prior batch")
-    side = side or divergences._imq_prior_side(z_prior, cfg.mmd_scale)
     if not grads:
-        value = divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale, side)[0]
-        return value, None, None, None, side
-    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale, side)
-    return value, cfg.lam * grad, None, None, side
+        value = divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale, prior)[0]
+        return value, None, None, None
+    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale, prior)
+    return value, cfg.lam * grad, None, None
 
 
-REGULARIZERS = {"w2": _w2_term, "kl": _kl_term, "mmd": _mmd_term}
+REGULARIZERS = {
+    "w2": Regularizer(_w2_prior, _w2_term),
+    "kl": Regularizer(lambda cfg, rng, n, ell: (None, None), _kl_term),
+    "mmd": Regularizer(_mmd_prior, _mmd_term),
+}
 
 
 @dataclass
 class Forward:
-    """Each network's layer inputs, the regularizer value and its prior
-    side, as one `loss_and_grads` call computed them."""
+    """Each network's layer inputs and the regularizer value, as one
+    `loss_and_grads` call computed them."""
 
     enc_inputs: list[Matrix]
     dec_inputs: list[Matrix]
     reg: float
-    prior_side: object
 
 
 @dataclass
@@ -241,15 +251,15 @@ def loss_and_grads(
     x: Matrix,
     eps: Matrix,
     z_prior: Optional[Matrix],
-    prior_stats: Optional[GaussStats],
+    prior: Any,
     grads: bool = True,
     probe: Optional[tuple[Optional[Forward], str, int]] = None,
 ) -> tuple[LossParts, Optional[Grads]]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
-    `z_prior` is the prior sample (required for mmd and sampled-stats w2);
-    `prior_stats` short-circuits the sampled statistics for w2 when the
-    exact prior moments are used instead. With `grads=False` it returns
+    `z_prior` and `prior` are the step's prior batch (or None) and prior
+    terms, as `draw_step_noise` returns them; a caller that repeats a batch
+    passes the same ones again. With `grads=False` it returns
     `(parts, None)`: the same forward and the same bits of `parts`, with no
     backward pass and no regularizer gradient. A loss-only call whose
     parameters differ from an earlier call's on the same inputs only in
@@ -264,8 +274,8 @@ def loss_and_grads(
         out = encode(model.enc, record.enc_inputs[layer] if record else x, layer)
         z = reparameterize(out, eps)
         x_hat, dec_inputs = _decode(model, z)
-        reg, reg_z, reg_mu, reg_logvar, side = REGULARIZERS[cfg.regularizer](
-            cfg, z, out, z_prior, prior_stats, grads, record.prior_side if record else None
+        reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer].term(
+            cfg, z, out, z_prior, prior, grads
         )
     else:
         x_hat, dec_inputs = _decode(model, record.dec_inputs[layer], layer)
@@ -280,7 +290,7 @@ def loss_and_grads(
     if model.output_activation == "sigmoid":
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
-    forward = Forward(out.inputs, dec_inputs, reg, side) if probe else None
+    forward = Forward(out.inputs, dec_inputs, reg) if probe else None
     result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
     d_z = nn.mlp_backward(model.dec, dec_inputs, d_xhat, out=result.dec)
 
@@ -343,19 +353,12 @@ def init_train_state(
 
 def draw_step_noise(
     cfg: TrainConfig, rng: Rng, n: int, ell: int
-) -> tuple[Optional[Matrix], Optional[GaussStats], Matrix]:
-    """Per-step randomness in a fixed order: prior batch first, then eps.
-
-    KL draws no prior batch, and neither does W2 with exact prior moments.
-    """
-    z_prior = None
-    prior_stats = None
-    if cfg.regularizer == "w2" and cfg.prior_stats == "exact":
-        prior_stats = GaussStats(np.zeros(ell), np.eye(ell))
-    elif cfg.regularizer != "kl":
-        z_prior = rng.normal(n, ell)
-    eps = rng.normal(n, ell)
-    return z_prior, prior_stats, eps
+) -> tuple[Optional[Matrix], Any, Matrix]:
+    """Per-step randomness in a fixed order: the regularizer's prior batch,
+    if it draws one, then eps. Returns that batch, the terms the regularizer
+    computes from the prior alone, and eps."""
+    z_prior, prior = REGULARIZERS[cfg.regularizer].prior(cfg, rng, n, ell)
+    return z_prior, prior, rng.normal(n, ell)
 
 
 def train_step(state: TrainState, x: Matrix) -> StepReport:
@@ -364,16 +367,14 @@ def train_step(state: TrainState, x: Matrix) -> StepReport:
     n = x.shape[0]
     ell = state.model.latent_dim
 
-    z_prior, prior_stats, eps = draw_step_noise(cfg, state.rng, n, ell)
+    z_prior, prior, eps = draw_step_noise(cfg, state.rng, n, ell)
 
     # Overflow to inf/nan is detected right below and reported as
     # TrainingDiverged, so the element-wise warnings are redundant noise.
     # LinAlgError happens when exploded latents reach the eigensolver.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            parts, grads = loss_and_grads(
-                state.model, cfg, x, eps, z_prior, prior_stats
-            )
+            parts, grads = loss_and_grads(state.model, cfg, x, eps, z_prior, prior)
     except np.linalg.LinAlgError:
         nan = float("nan")
         raise TrainingDiverged(state.step, LossParts(nan, nan, nan), nan) from None

@@ -137,7 +137,8 @@ def mlp_backward(
         np.add.reduce(ds, axis=0, out=grads.biases[i])
         if i == 0:
             return ds @ w if input_grad else None
-        ds = (ds @ w) * (inputs[i] > 0.0)  # ReLU subgradient at 0 is 0
+        ds = ds @ w
+        ds *= inputs[i] > 0.0  # ReLU subgradient at 0 is 0
 
 
 def init_params(rng: Rng, widths: list[int]) -> MlpParams:

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wwae import models
+from wwae import divergences, models, spectral
 from wwae.cli import RunManifest
 from wwae.numerics import Matrix, Rng
+from wwae.spectral import GaussStats
 
 
 def random_spd(rng: Rng, d: int, cond: float = 100.0) -> np.ndarray:
@@ -119,6 +120,24 @@ def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     return float(np.mean((x - y) ** 2))
+
+
+# The functions that take terms from the prior alone: the W2 prior's root
+# (`divergences` imports `sqrtm_psd` by name) and the MMD prior-prior kernel
+# term.
+PRIOR_ONLY = (
+    (divergences, "_imq_prior_side"),
+    (divergences, "sqrtm_psd"),
+    (spectral, "sqrtm_psd"),
+)
+
+
+def prior_bytes(prior) -> list[bytes]:
+    """Every value a regularizer's prior terms hold, as bytes."""
+    flat = []
+    for v in prior or ():
+        flat += [v.mean, v.cov] if isinstance(v, GaussStats) else [v]
+    return [np.asarray(v).tobytes() for v in flat]
 
 
 def corrupt_first_gradient(monkeypatch, amount):

@@ -1,5 +1,9 @@
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from conftest import (
     read_pgm,
 )
 from wwae import data as wwae_data
+import wwae
 from wwae import cli, metrics
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.cli import main
@@ -724,3 +729,45 @@ class TestLatent:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: checkpoint header lacks")
         assert not (tmp_path / "x.csv").exists()
+
+
+# A child `wwae` whose files may not grow past this many bytes.
+FSIZE_LIMIT = 4096
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    f"resource.setrlimit(resource.RLIMIT_FSIZE, ({FSIZE_LIMIT}, {FSIZE_LIMIT}))\n"
+    "from wwae.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+class TestArtifactWrites:
+    @pytest.mark.parametrize(
+        "run, command, name",
+        [
+            ("ring_run", ["latent"], "z.csv"),
+            ("ring_run", ["sample", "--count", "2000"], "pts.csv"),
+            ("image_run", ["sample", "--count", "64"], "grid.pgm"),
+        ],
+        ids=["latent-csv", "sample-csv", "sample-pgm"],
+    )
+    def test_failed_write_keeps_the_previous_file(self, request, tmp_path, run, command, name):
+        # the write fails partway, past the file size limit; the artifact
+        # it would replace keeps its bytes, and no temporary file is left
+        out = tmp_path / name
+        out.write_bytes(b"previous artifact\n")
+        ckpt = request.getfixturevalue(run)["ckpt"]
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(wwae.__file__).parents[1]),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *command, "--ckpt", str(ckpt), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "File too large" in err[0]
+        assert out.read_bytes() == b"previous artifact\n"
+        assert list(tmp_path.iterdir()) == [out]

@@ -181,16 +181,18 @@ class TestGaussianW2ValueAndGrad:
     @pytest.mark.parametrize("variant", BOTH)
     @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
     def test_identity_prior_skips_its_root_and_no_bits(self, monkeypatch, variant, d):
-        # the identity prior takes I as its root without decomposing it;
-        # sqrtm_psd(I) is I bit for bit, so the result equals the one that
-        # takes the root, written out separately
+        # the identity prior passes I as its root, so only q's side is
+        # decomposed; sqrtm_psd(I) is I bit for bit, so the result equals
+        # the one that takes the root, written out separately (that the
+        # exact prior entry builds I without decomposing it is checked in
+        # test_models.py)
         assert sqrtm_psd(np.eye(d)).tobytes() == np.eye(d).tobytes()
         p = GaussStats(np.zeros(d), np.eye(d))
         q = batch_stats(0.5 + 2.0 * Rng(200 + d).normal(64, d))
         calls = []
         eigh = spectral.eigh
         monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(a) or eigh(a))
-        value, gm, gc = gaussian_w2_value_and_grad(p, q, variant)
+        value, gm, gc = gaussian_w2_value_and_grad(p, q, variant, np.eye(d))
         assert len(calls) == 1
         monkeypatch.undo()
         want_value, want_gm, want_gc = self.separate(p, q, variant)
@@ -230,7 +232,7 @@ def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
     enc = nn.MlpParams([np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])])
     out = models.encode(enc, np.zeros((1, 1)))
     cfg = TrainConfig(regularizer="kl", latent_dim=ell)
-    return models.REGULARIZERS["kl"](cfg, out.mu, out, None, None, False)[0]
+    return models.REGULARIZERS["kl"].term(cfg, out.mu, out, None, None, False)[0]
 
 
 class TestKl:

@@ -4,11 +4,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import corrupt_first_gradient
+from conftest import PRIOR_ONLY, corrupt_first_gradient, prior_bytes
 from wwae import data, divergences, gradcheck, models, nn
 from wwae.config import TrainConfig
 from wwae.numerics import Rng
-from wwae.spectral import GaussStats
 
 
 def tiny_config(**overrides):
@@ -209,11 +208,11 @@ def test_probe_totals_equal_full_forward(monkeypatch, case, lam, hidden, image_d
 def test_probes_recompute_only_from_the_bumped_layer(monkeypatch):
     # a decoder probe runs decoder layers L onward and nothing else; an
     # encoder probe runs encoder layers L onward, the whole decoder and the
-    # regularizer, whose mmd prior side (kxx) it takes from the record
+    # regularizer, whose mmd prior term (kxx) the step's noise draw built
     work = []
     forward = nn.mlp_forward
     kernel = divergences._imq_kernel
-    entry = models.REGULARIZERS["mmd"]
+    prior, term = models.REGULARIZERS["mmd"]
     monkeypatch.setattr(
         nn, "mlp_forward", lambda p, x, start=0: work.append((id(p), start)) or forward(p, x, start)
     )
@@ -221,14 +220,15 @@ def test_probes_recompute_only_from_the_bumped_layer(monkeypatch):
         divergences, "_imq_kernel", lambda *a: work.append("kernel") or kernel(*a)
     )
     monkeypatch.setitem(
-        models.REGULARIZERS, "mmd", lambda *a: work.append("reg") or entry(*a)
+        models.REGULARIZERS, "mmd",
+        models.Regularizer(prior, lambda *a: work.append("reg") or term(*a)),
     )
     seen = {"enc": set(), "dec": set()}
 
     def check_work(args, kwargs, parts):
         enc, dec = id(args[0].enc), id(args[0].dec)
-        if not any(seen.values()):  # the analytic call builds all 3 kernels
-            assert work[:6] == [(enc, 0), (dec, 0), "reg", "kernel", "kernel", "kernel"]
+        if not any(seen.values()):  # the noise draw builds kxx, the analytic call the others
+            assert work[:6] == ["kernel", (enc, 0), (dec, 0), "reg", "kernel", "kernel"]
             del work[:6]
         _, net, layer = kwargs["probe"]
         seen[net].add(layer)
@@ -244,16 +244,10 @@ def test_probes_recompute_only_from_the_bumped_layer(monkeypatch):
     assert seen == {"enc": {0, 1, 2}, "dec": {0, 1}}
 
 
-def record_bytes(forward):
-    """Every value a forward record holds, as bytes."""
-    side = forward.prior_side
-    if isinstance(side, tuple) and isinstance(side[0], GaussStats):
-        side = (side[0].mean, side[0].cov, side[1])
-    values = [
-        *forward.enc_inputs, *forward.dec_inputs,
-        forward.reg, *(side or ()),
-    ]
-    return [np.asarray(v).tobytes() for v in values]
+def record_bytes(forward, prior):
+    """Every value a forward record and the prior terms hold, as bytes."""
+    values = [*forward.enc_inputs, *forward.dec_inputs, forward.reg]
+    return [np.asarray(v).tobytes() for v in values] + prior_bytes(prior)
 
 
 @pytest.mark.parametrize("case", PROBE_CASES, ids=lambda c: "-".join(c.values()))
@@ -264,13 +258,39 @@ def test_probes_leave_the_record_unchanged(monkeypatch, case):
     def spied(*args, **kwargs):
         parts, grads = loss_and_grads(*args, **kwargs)
         if grads is not None:  # the analytic call, before any probe runs
-            snapshots.append((grads.forward, record_bytes(grads.forward)))
+            snapshots.append((grads.forward, args[5], record_bytes(grads.forward, args[5])))
         return parts, grads
 
     monkeypatch.setattr(models, "loss_and_grads", spied)
     gradcheck.check_config(tiny_config(enc_hidden=(5, 4), dec_hidden=(4, 5), **case))
-    ((forward, before),) = snapshots
-    assert record_bytes(forward) == before
+    ((forward, prior, before),) = snapshots
+    assert record_bytes(forward, prior) == before
+
+
+@pytest.mark.parametrize("case", PROBE_CASES, ids=lambda c: "-".join(c.values()))
+def test_prior_terms_are_taken_once_per_check(monkeypatch, case):
+    # the prior's root (sampled w2) or kxx term (mmd) is computed with the
+    # noise, before the analytic call, and every probe reuses it
+    events = []
+    for module, name in PRIOR_ONLY:
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, fn=fn, name=name: events.append(name) or fn(*a)
+        )
+    loss_and_grads = models.loss_and_grads
+    monkeypatch.setattr(
+        models, "loss_and_grads", lambda *a, **k: events.append("loss") or loss_and_grads(*a, **k)
+    )
+    cfg = tiny_config(enc_hidden=(5, 4), dec_hidden=(4, 5), **case)
+    gradcheck.check_config(cfg)
+    if case["regularizer"] == "mmd":
+        prior = ["_imq_prior_side"]
+    elif case.get("prior_stats") == "sampled":
+        prior = ["sqrtm_psd"]
+    else:
+        prior = []
+    n_params = sum(nn.n_params(w) for w in models.net_widths(cfg, 2))
+    assert events == prior + ["loss"] * (1 + 2 * n_params)
 
 
 # The check of the CHANGES.md FOUND config (ring, hidden 24,24,24 on both

@@ -5,7 +5,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, config_line, edit_checkpoint_header
+from conftest import (
+    PRIOR_ONLY,
+    assert_same_bits,
+    config_line,
+    edit_checkpoint_header,
+    prior_bytes,
+)
 from wwae import config, divergences, models, nn, spectral
 from wwae.checkpoint import load_checkpoint, save_checkpoint
 from wwae.config import TrainConfig
@@ -46,6 +52,24 @@ def ring_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base).validate()
+
+
+class Draws:
+    """An `Rng` stand-in whose normal draws are the given batches, in order."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+
+    def normal(self, n, ell):
+        batch = self.batches.pop(0)
+        assert batch.shape == (n, ell)
+        return batch
+
+
+def prior_for(cfg, z_prior):
+    """The prior batch (None where the regularizer draws none) and the prior
+    terms that the config's regularizer entry takes from `z_prior`."""
+    return models.REGULARIZERS[cfg.regularizer].prior(cfg, Draws(z_prior), *z_prior.shape)
 
 
 def fresh_state(cfg):
@@ -154,7 +178,7 @@ def linear_model(enc_w, enc_b, dec_w, dec_b) -> Model:
 
 # Five codes around their mean whose unbiased covariance is exactly I.
 UNIT_SPREAD = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
-EXACT_PRIOR = GaussStats(np.zeros(2), np.eye(2))
+EXACT_PRIOR = (GaussStats(np.zeros(2), np.eye(2)), np.eye(2))  # statistics and root
 
 
 class TestLosses:
@@ -166,7 +190,7 @@ class TestLosses:
         x = np.random.default_rng(0).normal(size=(4, 3))
         model = linear_model(np.vstack([np.eye(3), np.zeros((3, 3))]), np.zeros(6), np.eye(3), np.zeros(3))
         cfg = ring_config(latent_dim=3, lam=5.0, w2_variant="bures")
-        parts, _ = loss_and_grads(model, cfg, x, np.zeros((4, 3)), None, batch_stats(x))
+        parts, _ = loss_and_grads(model, cfg, x, np.zeros((4, 3)), *prior_for(cfg, x))
         assert parts.total == 0.0 and parts.recon == 0.0 and parts.reg == 0.0
 
     def test_wwae_lambda_zero(self):
@@ -212,17 +236,16 @@ class TestLosses:
         x = ds.examples[:4]
         eps, z_prior = Rng(8).normal(4, 2), Rng(9).normal(4, 2)
         perm = [2, 0, 3, 1]  # permutes the codes
-        a, _ = loss_and_grads(state.model, cfg, x, eps, z_prior, None)
-        b, _ = loss_and_grads(state.model, cfg, x[perm], eps[perm], z_prior, None)
+        a, _ = loss_and_grads(state.model, cfg, x, eps, *prior_for(cfg, z_prior))
+        b, _ = loss_and_grads(state.model, cfg, x[perm], eps[perm], *prior_for(cfg, z_prior))
         assert abs(a.reg - b.reg) < 1e-12
 
     def test_mmd_lambda_zero(self):
         cfg = ring_config(regularizer="mmd", lam=0.0)
         state, ds = fresh_state(cfg)
         rng = Rng(9)
-        parts, _ = loss_and_grads(
-            state.model, cfg, ds.examples[:4], rng.normal(4, 2), rng.normal(4, 2), None
-        )
+        eps, z_prior = rng.normal(4, 2), rng.normal(4, 2)
+        parts, _ = loss_and_grads(state.model, cfg, ds.examples[:4], eps, *prior_for(cfg, z_prior))
         assert parts.total == parts.recon
 
 
@@ -319,8 +342,8 @@ class TestLossAndGrads:
         eps = Rng(77).normal(cfg.batch_size, cfg.latent_dim)
         prior_a = Rng(1).normal(cfg.batch_size, cfg.latent_dim)
         prior_b = 100.0 + Rng(2).normal(cfg.batch_size, cfg.latent_dim)
-        pa, ga = loss_and_grads(state.model, cfg, x, eps, prior_a, None)
-        pb, gb = loss_and_grads(state.model, cfg, x, eps, prior_b, None)
+        pa, ga = loss_and_grads(state.model, cfg, x, eps, *prior_for(cfg, prior_a))
+        pb, gb = loss_and_grads(state.model, cfg, x, eps, *prior_for(cfg, prior_b))
         np.testing.assert_array_equal(ga.enc, gb.enc)
         np.testing.assert_array_equal(ga.dec, gb.dec)
         assert pa.recon == pb.recon
@@ -332,7 +355,7 @@ class TestLossAndGrads:
         x = ds.examples[: cfg.batch_size]
         eps = Rng(5).normal(cfg.batch_size, cfg.latent_dim)
         stats = GaussStats(np.zeros(2), np.eye(2))
-        parts, _ = loss_and_grads(state.model, cfg, x, eps, None, stats)
+        parts, _ = loss_and_grads(state.model, cfg, x, eps, None, (stats, np.eye(2)))
         out = encode(state.model.enc, x)
         z = reparameterize(out, eps)
         recon = float(np.mean(np.sum((x - decode(state.model, z)) ** 2, axis=1)))
@@ -349,13 +372,13 @@ class TestLossAndGrads:
         for reg in config.REGULARIZERS:
             cfg = ring_config(regularizer=reg, lam=0.0)
             state, _ = fresh_state(cfg)
-            _, grads = loss_and_grads(state.model, cfg, x, eps, z_prior, None)
+            _, grads = loss_and_grads(state.model, cfg, x, eps, *prior_for(cfg, z_prior))
             flats.add(grads.flat.tobytes())
         assert len(flats) == 1
 
     def test_mmd_builds_each_kernel_matrix_once(self, monkeypatch):
-        # kxx, kyy and kxy once each; the separate value and gradient calls
-        # built kyy and kxy twice
+        # kxx once in the prior entry, kyy and kxy once each in the loss;
+        # the separate value and gradient calls built kyy and kxy twice
         calls = []
         kernel = divergences._imq_kernel
 
@@ -368,7 +391,7 @@ class TestLossAndGrads:
         state, ds = fresh_state(cfg)
         x = ds.examples[:6]
         eps, z_prior = Rng(8).normal(6, 2), Rng(9).normal(5, 2)
-        loss_and_grads(state.model, cfg, x, eps, z_prior, None)
+        loss_and_grads(state.model, cfg, x, eps, *prior_for(cfg, z_prior))
         assert calls == [(5, 5), (6, 6), (5, 6)]
 
     def test_table_covers_every_configurable_regularizer(self):
@@ -442,6 +465,25 @@ class TestLossOnly:
         assert calls == []
         loss_and_grads(*args)  # the spies see the full call
         assert calls == ["grad_trace_sqrtm", "batch_stats_backward"]
+
+
+class TestPriorTerms:
+    @pytest.mark.parametrize("case", REG_CASES, ids=lambda c: "-".join(map(str, c.values())))
+    def test_loss_takes_nothing_from_the_prior(self, monkeypatch, case):
+        # the prior terms come from `draw_step_noise`; no loss call, full,
+        # loss-only or probe, decomposes the prior covariance or builds kxx
+        args = loss_inputs(ring_config(enc_hidden=(5, 4), **case), False)
+
+        def forbidden(*a):
+            raise AssertionError("loss_and_grads took a term from the prior alone")
+
+        for module, name in PRIOR_ONLY:
+            monkeypatch.setattr(module, name, forbidden)
+        _, grads = loss_and_grads(*args, probe=(None, "enc", 0))
+        loss_and_grads(*args)
+        loss_and_grads(*args, grads=False)
+        for layer in range(3):
+            loss_and_grads(*args, grads=False, probe=(grads.forward, "enc", layer))
 
 
 class TestTrainStep:
@@ -585,26 +627,66 @@ class TestGenerateReconstruct:
 class TestDrawStepNoise:
     def test_exact_prior_skips_prior_draw(self):
         cfg = ring_config(prior_stats="exact")
-        z_prior, stats, eps1 = draw_step_noise(cfg, Rng(10), 4, 2)
+        z_prior, (stats, root), eps1 = draw_step_noise(cfg, Rng(10), 4, 2)
         assert z_prior is None
         np.testing.assert_array_equal(stats.mean, np.zeros(2))
         np.testing.assert_array_equal(stats.cov, np.eye(2))
+        np.testing.assert_array_equal(root, np.eye(2))
         # eps comes first in the stream when no prior batch is drawn
         np.testing.assert_array_equal(eps1, Rng(10).normal(4, 2))
 
     def test_sampled_prior_order(self):
         cfg = ring_config(prior_stats="sampled")
-        z_prior, stats, eps = draw_step_noise(cfg, Rng(10), 4, 2)
-        assert stats is None
+        z_prior, _, eps = draw_step_noise(cfg, Rng(10), 4, 2)
         ref = Rng(10)
         np.testing.assert_array_equal(z_prior, ref.normal(4, 2))
         np.testing.assert_array_equal(eps, ref.normal(4, 2))
 
+    def test_mmd_prior_order(self):
+        z_prior, _, eps = draw_step_noise(ring_config(regularizer="mmd"), Rng(10), 4, 2)
+        ref = Rng(10)
+        np.testing.assert_array_equal(z_prior, ref.normal(4, 2))
+        np.testing.assert_array_equal(eps, ref.normal(4, 2))
 
     def test_kl_draws_no_prior_batch(self):
         z_prior, stats, eps = draw_step_noise(ring_config(regularizer="kl"), Rng(10), 4, 2)
         assert z_prior is None and stats is None
         np.testing.assert_array_equal(eps, Rng(10).normal(4, 2))
+
+    @pytest.mark.parametrize("case", REG_CASES, ids=lambda c: "-".join(map(str, c.values())))
+    def test_prior_terms_equal_the_written_out_expressions(self, case):
+        # what each entry takes from the prior alone, against the
+        # expressions the loss used to evaluate on each call
+        cfg = ring_config(latent_dim=3, mmd_scale=0.5, **case)
+        z_prior, prior, eps = draw_step_noise(cfg, Rng(12), 9, 3)
+        ref = Rng(12)
+        if cfg.regularizer == "kl" or cfg.prior_stats == "exact":
+            assert z_prior is None
+        else:
+            assert z_prior.tobytes() == ref.normal(9, 3).tobytes()
+        assert eps.tobytes() == ref.normal(9, 3).tobytes()
+        if cfg.regularizer == "kl":
+            want = None
+        elif cfg.regularizer == "mmd":
+            want = divergences._imq_prior_side(z_prior, 0.5)
+        elif cfg.prior_stats == "exact":
+            want = (GaussStats(np.zeros(3), np.eye(3)), np.eye(3))
+        else:
+            stats = batch_stats(z_prior)
+            want = (stats, spectral.sqrtm_psd(stats.cov))
+        assert (prior is None) == (want is None)
+        assert prior_bytes(prior) == prior_bytes(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
+    def test_exact_prior_takes_no_eigh(self, monkeypatch, d):
+        # I is its own root, bit for bit, so the entry decomposes nothing
+        calls = []
+        eigh = spectral.eigh
+        monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(a) or eigh(a))
+        cfg = ring_config(prior_stats="exact", latent_dim=d)
+        _, (stats, root), _ = draw_step_noise(cfg, Rng(1), 8, d)
+        assert calls == []
+        assert root.tobytes() == spectral.sqrtm_psd(stats.cov).tobytes()
 
 
 class TestCheckpoint:

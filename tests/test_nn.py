@@ -96,6 +96,23 @@ class TestBackward:
         assert np.isnan(out[0]) and np.isnan(out[-1])
         assert all(np.shares_memory(w, out) for w in g2.weights + g2.biases)
 
+    def test_peak_is_one_product_and_its_operand(self):
+        # the ReLU mask multiplies each product in place, so the widest
+        # step holds only the incoming gradient and its product (1024 x 64
+        # and 1024 x 96); a masked copy would add another 1024 x 96
+        widths = [16, 96, 64, 48, 8]
+        p = init_params(Rng(5), widths)
+        _, inputs = mlp_forward(p, Rng(6).normal(1024, widths[0]))
+        gy = Rng(7).normal(1024, widths[-1])
+        out = np.empty(p.n_params())
+        tracemalloc.start()
+        try:
+            mlp_backward(p, inputs, gy, out=out, input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * (64 + 96) * 8 + 4096
+
     def test_matches_per_layer_expressions_bit_for_bit(self):
         p = init_params(Rng(11), [5, 7, 6, 3])
         x = Rng(12).normal(9, 5)
