@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .config import config_lines, parse_config_text
 from .images import Blocks, read_framed, write_framed
-from .models import TrainState, adam_state, arena_model, net_widths
+from .models import TrainState, arena_model, net_widths
 from .numerics import Rng
 
 MAGIC = "WWAECKPT 1"
@@ -69,7 +69,7 @@ def _read(manifest: dict, key: str):
 def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
     """The state that a header's config, data width, step and RNG snapshots
     describe, once the header is the one `_header` renders for it, and its
-    blocks. Adam makes one step per training step, so its counter is the step."""
+    blocks. The step is Adam's counter; its settings stay in the config."""
     lines = _read(manifest, "config")
     if type(lines) is not list or not all(type(line) is str for line in lines):
         raise ValueError("checkpoint config must be a list of 'key = value' lines")
@@ -91,7 +91,7 @@ def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
     if step < 0:
         raise ValueError(f"checkpoint step must be >= 0, got {step}")
     n = sum(nn.n_params(widths) for widths in net_widths(cfg, data_dim))
-    adam = adam_state(cfg, t=step)
+    adam = nn.AdamState(t=step)
     if step > 0:  # the moments exist from the first optimizer step on
         adam.m, adam.v = np.empty(n), np.empty(n)
     state = TrainState(
@@ -100,7 +100,6 @@ def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
         adam=adam,
         rng=Rng.from_state(_read(manifest, "rng")),
         data_rng=Rng.from_state(_read(manifest, "data_rng")),
-        step=step,
         image_shape=tuple(shape) if shape else None,
     )
     # A header save_checkpoint wrote is the rendered one as text. Others are

@@ -98,9 +98,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if desk_fid.basis is not None:
             metrics.save_basis(out_dir / BASIS_NAME, desk_fid.basis)
     eval_base = root.split(4)
-    fid_final = None
-    fid_best = None
-    fid_best_step = None
+    fids = []  # (desk_fid, step) of each evaluation
 
     started = time.monotonic()
     report = None
@@ -128,9 +126,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             score = desk_fid.score(
                 models.generate(state.model, step_rng.split(0), eval_count)
             )
-            fid_final = score
-            if fid_best is None or score < fid_best:
-                fid_best, fid_best_step = score, report.step
+            fids.append((score, report.step))
             manifest.records.append(f"step={report.step} desk_fid={score!r}")
             print(f"step={report.step} desk_fid={score!r}  ({DESK_FID_NOTE})")
             ext = ".pgm" if state.image_shape is not None else ".csv"
@@ -148,10 +144,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"final_total={report.total!r} final_recon={report.recon!r} "
             f"final_reg={report.reg!r}"
         )
-    if fid_final is not None:
+    if fids:
+        best, best_step = min(fids)  # equal scores go to the earliest step
         manifest.final.append(
-            f"fid_final={fid_final!r} fid_best={fid_best!r} "
-            f"fid_best_step={fid_best_step}"
+            f"fid_final={fids[-1][0]!r} fid_best={best!r} fid_best_step={best_step}"
         )
     with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
         fh.write(manifest.text())

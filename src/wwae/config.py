@@ -43,11 +43,12 @@ class TrainConfig:
     eval_every: int = 0
     out_dir: str = "wwae_run"
 
-    def reg_kind(self) -> str:
-        """One of w2_root_product, w2_bures, kl, mmd."""
-        if self.regularizer == "w2":
-            return f"w2_{self.w2_variant}"
-        return self.regularizer
+    def lr_at(self, step: int) -> float:
+        """The learning rate of the step taken after `step` steps:
+        lr * decay_factor^(step // decay_every), or lr with decay_every <= 0."""
+        if self.decay_every <= 0:
+            return self.lr
+        return self.lr * self.decay_factor ** (step // self.decay_every)
 
     def validate(self) -> "TrainConfig":
         for f in dataclasses.fields(self):
@@ -91,8 +92,8 @@ class TrainConfig:
         for key in ("beta1", "beta2"):
             if not 0 <= getattr(self, key) < 1:
                 raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if not self.decay_factor > 0:
-            raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
+        if not 0 < self.decay_factor <= 1:
+            raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if not self.mmd_scale > 0:

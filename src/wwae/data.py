@@ -22,6 +22,8 @@ from .numerics import Matrix, Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# The ring: modes, circle radius and per-mode standard deviation.
+RING_MODES, RING_RADIUS, RING_SIGMA = 8, 2.0, 0.1
 
 
 @dataclass
@@ -132,24 +134,18 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         fh.write(labels.astype(np.uint8).tobytes())
 
 
-def make_ring(
-    rng: Rng,
-    n: int,
-    modes: int = 8,
-    radius: float = 2.0,
-    sigma: float = 0.1,
-) -> Dataset:
+def make_ring(rng: Rng, n: int) -> Dataset:
     """Equal-weight Gaussian blobs on a circle; label = mode index."""
-    if n < modes:
-        raise ValueError(f"need at least {modes} points, got {n}")
-    labels = rng.integers(0, modes, n)
-    points = ring_centers(modes, radius)[labels] + sigma * rng.normal(n, 2)
-    return Dataset(points, labels.astype(np.int64), f"ring{modes}", None)
+    if n < RING_MODES:
+        raise ValueError(f"need at least {RING_MODES} points, got {n}")
+    labels = rng.integers(0, RING_MODES, n)
+    points = ring_centers()[labels] + RING_SIGMA * rng.normal(n, 2)
+    return Dataset(points, labels.astype(np.int64), f"ring{RING_MODES}", None)
 
 
-def ring_centers(modes: int = 8, radius: float = 2.0) -> Matrix:
-    angles = 2.0 * np.pi * np.arange(modes) / modes
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def ring_centers() -> Matrix:
+    angles = 2.0 * np.pi * np.arange(RING_MODES) / RING_MODES
+    return RING_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def make_blob_images(

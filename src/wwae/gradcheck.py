@@ -5,9 +5,9 @@ holding the batch and all sampling noise fixed, and compares analytic
 gradients against central differences of the same loss. One full
 `models.loss_and_grads` call gives the analytic gradients and its forward
 record: each network's layer inputs and the regularizer value. Each of the
-2n probes passes `grads=False`, that record and the step's prior terms, so
-it runs no backward pass, takes nothing from the prior again and recomputes
-only from the bumped layer's input on, with the bits of a full forward.
+2n probes passes that record and the step's prior terms, so it runs no
+backward pass, takes nothing from the prior again and recomputes only from
+the bumped layer's input on, with the bits of a full forward.
 This is the decisive correctness gate for the hand-written backward passes.
 """
 
@@ -29,7 +29,7 @@ GRAD_FLOOR = 1e-8  # coordinates below this magnitude are skipped
 
 @dataclass
 class GradCheckResult:
-    regularizer: str
+    regularizer: str  # w2_root_product, w2_bures, kl or mmd
     max_rel_err: float
     worst: str  # coordinate path of the worst relative error
     checked: int
@@ -64,7 +64,7 @@ def check_model_grads(
     z_prior, prior, eps = models.draw_step_noise(cfg, root.split(1), n, cfg.latent_dim)
 
     args = (model, cfg, x, eps, z_prior, prior)
-    _, grads = models.loss_and_grads(*args, probe=(None, "enc", 0))
+    _, grads = models.loss_and_grads(*args)
 
     # The model is this function's own: each probe bumps one coordinate of
     # its parameter vector in place and puts the saved value back.
@@ -72,7 +72,7 @@ def check_model_grads(
 
     def loss_at(k: int, value: float, probe: tuple) -> float:
         theta[k] = value
-        return models.loss_and_grads(*args, grads=False, probe=probe)[0].total
+        return models.loss_and_grads(*args, probe=probe)[0].total
 
     max_rel = 0.0
     worst = "none"
@@ -92,7 +92,8 @@ def check_model_grads(
         checked += 1
         if rel > max_rel:
             max_rel, worst = rel, name
-    return GradCheckResult(cfg.reg_kind(), max_rel, worst, checked, max_rel <= REL_TOL)
+    kind = f"w2_{cfg.w2_variant}" if cfg.regularizer == "w2" else cfg.regularizer
+    return GradCheckResult(kind, max_rel, worst, checked, max_rel <= REL_TOL)
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:

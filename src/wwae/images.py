@@ -110,11 +110,9 @@ def _write_table(
         fh.write(header + table % tuple(itertools.chain.from_iterable(rows)))
 
 
-def write_points_csv(
-    path: str | Path, points: Matrix, labels: Optional[np.ndarray] = None
-) -> None:
+def write_points_csv(path: str | Path, points: Matrix) -> None:
     """One point per line, comma-separated, full double precision."""
-    _write_table(path, "", points, labels)
+    _write_table(path, "", points, None)
 
 
 def write_latent_csv(

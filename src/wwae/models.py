@@ -151,7 +151,7 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
 # constant in the parameters. `term(cfg, z, out, z_prior, prior, grads)`
 # returns the value and the gradients of lam * value with respect to the
 # codes z, the means and the log-variances; None stands for a gradient it
-# lacks, and every gradient is None with `grads=False`.
+# lacks, and every gradient is None when `grads` is false.
 RegTerm = tuple[float, Optional[Matrix], Optional[Matrix], Optional[Matrix]]
 
 
@@ -227,11 +227,11 @@ class Forward:
 @dataclass
 class Grads:
     """The loss gradient in the `Model.theta` layout, enc || dec, and the
-    forward record of a call that passed `probe`."""
+    forward record of the call that computed it."""
 
     flat: np.ndarray
     n_enc: int
-    forward: Optional[Forward]
+    forward: Forward
 
     @property
     def enc(self) -> np.ndarray:
@@ -252,37 +252,35 @@ def loss_and_grads(
     eps: Matrix,
     z_prior: Optional[Matrix],
     prior: Any,
-    grads: bool = True,
-    probe: Optional[tuple[Optional[Forward], str, int]] = None,
+    probe: Optional[tuple[Forward, str, int]] = None,
 ) -> tuple[LossParts, Optional[Grads]]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
     `z_prior` and `prior` are the step's prior batch (or None) and prior
     terms, as `draw_step_noise` returns them; a caller that repeats a batch
-    passes the same ones again. With `grads=False` it returns
-    `(parts, None)`: the same forward and the same bits of `parts`, with no
-    backward pass and no regularizer gradient. A loss-only call whose
-    parameters differ from an earlier call's on the same inputs only in
-    layer L of `net` ("enc" or "dec") may pass `probe = (record, net, L)`
-    with that call's `Grads.forward`: it runs from layer L on, same bits.
-    That earlier call passes `probe = (None, "enc", 0)` to keep its record;
-    no other caller holds one beyond its backward pass.
+    passes the same ones again. A call whose parameters differ from an
+    earlier call's on the same inputs only in layer L of `net` ("enc" or
+    "dec") may pass `probe = (record, net, L)` with that call's
+    `Grads.forward`. Such a call is loss-only: it runs from layer L on with
+    no backward pass and no regularizer gradient, and returns
+    `(parts, None)` with the bits of a full forward.
     """
     n = x.shape[0]
-    record, net, layer = probe or (None, "enc", 0)
+    # A full call is a probe of the whole encoder, from x.
+    record, net, layer = probe or (Forward([x], [], 0.0), "enc", 0)
     if net == "enc":
-        out = encode(model.enc, record.enc_inputs[layer] if record else x, layer)
+        out = encode(model.enc, record.enc_inputs[layer], layer)
         z = reparameterize(out, eps)
         x_hat, dec_inputs = _decode(model, z)
         reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer].term(
-            cfg, z, out, z_prior, prior, grads
+            cfg, z, out, z_prior, prior, probe is None
         )
     else:
         x_hat, dec_inputs = _decode(model, record.dec_inputs[layer], layer)
         reg = record.reg
     recon = recon_error(x, x_hat)
     parts = LossParts(recon + cfg.lam * reg, recon, reg)
-    if not grads:
+    if probe is not None:
         return parts, None
 
     # Reconstruction path back to the latent codes.
@@ -290,7 +288,7 @@ def loss_and_grads(
     if model.output_activation == "sigmoid":
         d_xhat = d_xhat * x_hat * (1.0 - x_hat)
     n_enc = model.enc.n_params()
-    forward = Forward(out.inputs, dec_inputs, reg) if probe else None
+    forward = Forward(out.inputs, dec_inputs, reg)
     result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
     d_z = nn.mlp_backward(model.dec, dec_inputs, d_xhat, out=result.dec)
 
@@ -313,26 +311,17 @@ def loss_and_grads(
 
 @dataclass
 class TrainState:
-    config: TrainConfig
+    config: TrainConfig  # also the optimizer's settings
     model: Model  # built on an arena: train_step updates model.theta
     adam: nn.AdamState  # one optimizer over model.theta, enc || dec
     rng: Rng  # per-step noise: prior batch first, then encoder noise
     data_rng: Rng  # mini-batch index stream
-    step: int
     image_shape: Optional[tuple[int, int]]
 
-
-def adam_state(cfg: TrainConfig, t: int = 0) -> nn.AdamState:
-    """The optimizer the config describes, `t` steps in, moments not yet
-    allocated."""
-    return nn.AdamState(
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        decay_every=cfg.decay_every,
-        decay_factor=cfg.decay_factor,
-        t=t,
-    )
+    @property
+    def step(self) -> int:
+        """Steps taken: Adam makes one per training step."""
+        return self.adam.t
 
 
 def init_train_state(
@@ -343,10 +332,9 @@ def init_train_state(
     return TrainState(
         config=cfg,
         model=model,
-        adam=adam_state(cfg),
+        adam=nn.AdamState(),
         rng=root.split(1),
         data_rng=root.split(0),
-        step=0,
         image_shape=image_shape,
     )
 
@@ -385,10 +373,9 @@ def train_step(state: TrainState, x: Matrix) -> StepReport:
 
     # Adam is element-wise and both networks share lr, betas and t, so one
     # update over enc || dec gives the bits of one update per network.
-    lr_used = state.adam.effective_lr()
-    nn.adam_step(state.adam, state.model.theta, grads.flat)
-    state.step += 1
-    return StepReport(state.step, parts.total, parts.recon, parts.reg, lr_used)
+    lr = cfg.lr_at(state.step)
+    nn.adam_step(state.adam, state.model.theta, grads.flat, lr, cfg.beta1, cfg.beta2)
+    return StepReport(state.step, parts.total, parts.recon, parts.reg, lr)
 
 
 def generate(model: Model, rng: Rng, count: int) -> Matrix:

@@ -1,6 +1,5 @@
 """Minimal fully-connected stack: forward that records each layer's input,
-exact reverse-mode backward, parameter flattening, He/Xavier init, and Adam
-with stepwise learning-rate decay.
+exact reverse-mode backward, parameter flattening, He/Xavier init, and Adam.
 
 Activations follow position: every layer but the last is ReLU and the last
 is linear, so a stack is fully described by its widths.
@@ -23,6 +22,7 @@ from .numerics import Matrix, Rng
 # float64 values per Adam block: 256 KiB per array, about 1.5 MiB for the
 # six arrays one block touches, so a block stays in a 2 MiB per-core L2.
 ADAM_CHUNK = 32_768
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -61,30 +61,19 @@ def n_params(widths: list[int]) -> int:
 
 @dataclass
 class AdamState:
-    """Adam moments plus a stepwise-decay learning-rate schedule.
+    """Adam's step counter and moments; its settings come with each step.
 
     `m` and `v` are allocated on the first step and then updated in place;
     the two scratch vectors hold one `adam_step` block each, so a step
     allocates nothing of parameter size.
     """
 
-    lr: float = 0.005
-    beta1: float = 0.5
-    beta2: float = 0.9
-    eps: float = 1e-8
-    decay_every: int = 10_000
-    decay_factor: float = 0.9
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _scratch: tuple[np.ndarray, np.ndarray] = field(
         default=(np.zeros(0), np.zeros(0)), init=False, repr=False, compare=False
     )
-
-    def effective_lr(self) -> float:
-        if self.decay_every <= 0:
-            return self.lr
-        return self.lr * self.decay_factor ** (self.t // self.decay_every)
 
 
 def mlp_forward(params: MlpParams, x: Matrix, start: int = 0) -> tuple[Matrix, list[Matrix]]:
@@ -188,13 +177,12 @@ def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
     return param_views(np.array(flat, dtype=np.float64), like.widths)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update of `params` in place; returns `params`.
-
-    The effective learning rate is lr * decay_factor^(t // decay_every),
-    evaluated with the pre-increment step counter. The update runs in the
-    order of the textbook form
-    params - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+def adam_step(
+    state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float, beta1: float, beta2: float
+) -> np.ndarray:
+    """One bias-corrected Adam update of `params` in place at learning rate
+    `lr`; returns `params`. The update runs in the order of the textbook form
+    params - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + ADAM_EPS),
     so it gives the same bits as that expression evaluated with temporaries.
     It runs over ADAM_CHUNK values at a time, so the slices of params,
     grads, m, v and the scratch stay in cache across the 14 element-wise
@@ -215,9 +203,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     block = min(ADAM_CHUNK, params.size)
     if state._scratch[0].size != block:
         state._scratch = (np.empty(block), np.empty(block))
-    lr = state.effective_lr()
     state.t += 1
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
     for lo in range(0, params.size, ADAM_CHUNK):
@@ -236,7 +222,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += ADAM_EPS
         a /= b
         p -= a
     return params

@@ -119,6 +119,19 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == ["error: lr must be > 0, got -1.0"]
         assert not (tmp_path / "out").exists()
 
+    def test_growing_lr_schedule_is_one_error_line(self, tmp_path, capsys):
+        # lr * decay_factor ** k would overflow its float power at k = 2
+        values = {
+            **RING_CFG, "batch_size": 8, "steps": 3, "lr": "1e-300", "decay_every": 1,
+            "decay_factor": "1e300", "out_dir": tmp_path / "out",
+        }
+        cfg = write_cfg(tmp_path / "grow.cfg", **values)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: decay_factor must be in (0, 1], got 1e+300"
+        ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key,value,message",
         [
@@ -207,6 +220,14 @@ class TestTrain:
         state = load_checkpoint(image_run["ckpt"])
         assert state.step == 30
         assert state.image_shape == (28, 28)
+
+    def test_tied_desk_fid_keeps_the_first_best(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics.DeskFid, "score", lambda self, samples: 1.5)
+        values = {**RING_CFG, "steps": 6, "eval_every": 2, "out_dir": tmp_path / "a"}
+        cfg = write_cfg(tmp_path / "t.cfg", **values)
+        assert main(["train", "--config", str(cfg)]) == 0
+        manifest = parse_manifest((tmp_path / "a" / "manifest.txt").read_text())
+        assert manifest.final[-1] == "fid_final=1.5 fid_best=1.5 fid_best_step=2"
 
     def test_basis_fitted_on_this_runs_data(self, tmp_path, capsys):
         # a basis left in out_dir by a run on other data must not be reused

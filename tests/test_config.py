@@ -148,6 +148,7 @@ def test_validation_rejects(bad):
         "beta2 = -0.1",
         "decay_factor = -2",
         "decay_factor = 0",
+        "decay_factor = 2",
         "eval_every = -3",
         "mmd_scale = 0",
         "enc_hidden = 0",
@@ -168,8 +169,9 @@ def test_out_of_range_value_names_key(line):
 
 
 def test_boundary_values_accepted():
-    cfg = parse_config_text("beta1 = 0\nbeta2 = 0.999\neval_every = 0\nlr = 1e-9")
+    cfg = parse_config_text("beta1 = 0\nbeta2 = 0.999\neval_every = 0\nlr = 1e-9\ndecay_factor = 1")
     assert (cfg.beta1, cfg.beta2, cfg.eval_every, cfg.lr) == (0.0, 0.999, 0, 1e-9)
+    assert cfg.decay_factor == 1.0
     cfg = parse_config_text("seed = 0\nenc_hidden = 1\ndec_hidden =")
     assert (cfg.seed, cfg.enc_hidden, cfg.dec_hidden) == (0, (1,), ())
 
@@ -202,9 +204,3 @@ def test_load_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="nope.cfg"):
         load_config(tmp_path / "nope.cfg")
 
-
-def test_reg_kind():
-    assert TrainConfig(regularizer="w2", w2_variant="root_product").reg_kind() == "w2_root_product"
-    assert TrainConfig(regularizer="w2", w2_variant="bures").reg_kind() == "w2_bures"
-    assert TrainConfig(regularizer="kl").reg_kind() == "kl"
-    assert TrainConfig(regularizer="mmd").reg_kind() == "mmd"

@@ -17,6 +17,7 @@ from wwae.data import (
     write_idx_images,
     write_idx_labels,
 )
+from wwae import data
 from wwae.config import TrainConfig
 from wwae.numerics import Rng
 
@@ -119,8 +120,9 @@ def test_derive_labels_path(tmp_path):
 
 
 class TestMakeRing:
-    def test_sigma_zero_on_centers(self):
-        ds = make_ring(Rng(1), 64, sigma=0.0)
+    def test_sigma_zero_on_centers(self, monkeypatch):
+        monkeypatch.setattr(data, "RING_SIGMA", 0.0)
+        ds = make_ring(Rng(1), 64)
         centers = ring_centers()
         d = np.linalg.norm(ds.examples[:, None, :] - centers[None], axis=2).min(axis=1)
         assert d.max() == 0.0

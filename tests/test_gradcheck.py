@@ -44,6 +44,20 @@ def test_analytic_matches_finite_difference(overrides):
     assert res.checked > 0
 
 
+@pytest.mark.parametrize(
+    "overrides, kind",
+    [
+        (dict(regularizer="w2", w2_variant="root_product"), "w2_root_product"),
+        (dict(regularizer="w2", w2_variant="bures"), "w2_bures"),
+        (dict(regularizer="kl"), "kl"),
+        (dict(regularizer="mmd"), "mmd"),
+    ],
+)
+def test_result_names_the_regularizer(overrides, kind):
+    res = gradcheck.check_model_grads(tiny_config(**overrides), Rng(7).normal(8, 2))
+    assert res.regularizer == kind
+
+
 def test_image_path_with_sigmoid_output():
     cfg = tiny_config(regularizer="w2", prior_stats="exact")
     x = Rng(7).uniform(8, 9)
@@ -174,7 +188,7 @@ def spy_probes(monkeypatch, on_probe):
 
     def spied(*args, **kwargs):
         result = loss_and_grads(*args, **kwargs)
-        if kwargs["probe"][0] is None:
+        if "probe" not in kwargs:
             analytic.append(result)
         else:
             on_probe(args, kwargs, result[0])
@@ -193,7 +207,7 @@ def test_probe_totals_equal_full_forward(monkeypatch, case, lam, hidden, image_d
     probes = []
 
     def compare(args, kwargs, parts):
-        full, none = loss_and_grads(*args, grads=False)
+        full, none = loss_and_grads(*args, probe=(kwargs["probe"][0], "enc", 0))
         assert none is None
         probes.append(np.array(astuple(parts)).tobytes() == np.array(astuple(full)).tobytes())
 

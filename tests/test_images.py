@@ -116,10 +116,10 @@ class TestCsvWriters:
         )
         np.testing.assert_array_equal(back, pts)
 
-    def test_points_with_labels(self, tmp_path):
-        p = tmp_path / "pts.csv"
-        write_points_csv(p, np.array([[1.5, 2.0]]), labels=np.array([3]))
-        assert p.read_text() == "1.5,2,3\n"
+    def test_latent_text_with_labels(self, tmp_path):
+        p = tmp_path / "z.csv"
+        write_latent_csv(p, np.array([[1.5, 2.0]]), np.array([3]))
+        assert p.read_text() == "z_1,z_2,label\n1.5,2,3\n"
 
     def test_latent_header_with_labels(self, tmp_path):
         p = tmp_path / "z.csv"
@@ -152,12 +152,11 @@ class TestCsvWriters:
             out.append(",".join(cells) + "\n")
         return "".join(out)
 
-    @pytest.mark.parametrize("labels", [None, np.array([4, 9])])
-    def test_points_match_per_value_fstrings(self, tmp_path, labels):
+    def test_points_match_per_value_fstrings(self, tmp_path):
         values = self.special_table()
         p = tmp_path / "pts.csv"
-        write_points_csv(p, values, labels)
-        assert p.read_bytes() == self.fstring_rows(values, labels).encode()
+        write_points_csv(p, values)
+        assert p.read_bytes() == self.fstring_rows(values, None).encode()
 
     @pytest.mark.parametrize("labels", [None, np.array([4, 9])])
     def test_latent_matches_per_value_fstrings(self, tmp_path, labels):
@@ -173,8 +172,8 @@ class TestCsvWriters:
         values = rng.normal(500, 4) * 10.0 ** rng.integers(-300, 300, 2000).reshape(500, 4)
         labels = rng.integers(0, 10, 500)
         p = tmp_path / "z.csv"
-        write_points_csv(p, values, labels)
-        assert p.read_text() == self.fstring_rows(values, labels)
+        write_latent_csv(p, values, labels)
+        assert p.read_text().split("\n", 1)[1] == self.fstring_rows(values, labels)
 
 
 class TestAtomicOpen:

@@ -237,7 +237,7 @@ class TestModeCoverage:
         assert covered == 2
 
     def test_real_ring_data_within_three_sigma(self):
-        ds = make_ring(Rng(5).split(3), 4096, sigma=0.1)
+        ds = make_ring(Rng(5).split(3), 4096)
         _, frac = mode_coverage(ds.examples, ring_centers(), 0.3)
         assert frac >= 0.95
 
@@ -252,7 +252,7 @@ class TestLatentReport:
         return nn.MlpParams([w], [np.zeros(2 * ell)])
 
     def test_zero_encoder_codes_are_noise(self, rng):
-        ds = make_ring(Rng(5).split(3), 512, sigma=0.1)
+        ds = make_ring(Rng(5).split(3), 512)
         enc = self.zero_encoder(2, 2)
         rep = latent_report(enc, ds, Rng(9), 256)
         np.testing.assert_array_equal(rep.codes, Rng(9).normal(256, 2))
@@ -260,7 +260,7 @@ class TestLatentReport:
         assert mu_norm < 0.2 and cov_dist < 0.3
 
     def test_labels_carried(self):
-        ds = make_ring(Rng(5).split(3), 64, sigma=0.1)
+        ds = make_ring(Rng(5).split(3), 64)
         rep = latent_report(self.zero_encoder(2, 2), ds, Rng(9), 32)
         np.testing.assert_array_equal(rep.labels, ds.labels[:32])
 
@@ -270,13 +270,13 @@ class TestLatentReport:
         assert rep.labels is None
 
     def test_deterministic(self):
-        ds = make_ring(Rng(5).split(3), 64, sigma=0.1)
+        ds = make_ring(Rng(5).split(3), 64)
         a = latent_report(self.zero_encoder(2, 2), ds, Rng(3), 16)
         b = latent_report(self.zero_encoder(2, 2), ds, Rng(3), 16)
         np.testing.assert_array_equal(a.codes, b.codes)
 
     def test_n_capped_at_dataset_size(self):
-        ds = make_ring(Rng(5).split(3), 20, sigma=0.1)
+        ds = make_ring(Rng(5).split(3), 20)
         rep = latent_report(self.zero_encoder(2, 2), ds, Rng(1), 1000)
         assert rep.codes.shape == (20, 2)
 

@@ -430,7 +430,7 @@ class TestLossOnly:
     def test_parts_equal_the_full_call_bit_for_bit(self, case, lam, image_data):
         args = loss_inputs(ring_config(lam=lam, **case), image_data)
         full, grads = loss_and_grads(*args)
-        only, none = loss_and_grads(*args, grads=False)
+        only, none = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
         assert grads is not None and none is None
         assert np.array(astuple(only)).tobytes() == np.array(astuple(full)).tobytes()
 
@@ -446,9 +446,11 @@ class TestLossOnly:
             raise AssertionError("value-only call computed the MMD gradient")
 
         monkeypatch.setattr(divergences, "_imq_kernel", counted)
-        monkeypatch.setattr(divergences, "mmd_imq_value_and_grad", no_gradient)
         args = loss_inputs(ring_config(regularizer="mmd"), False)
-        assert loss_and_grads(*args, grads=False)[1] is None
+        record = loss_and_grads(*args)[1].forward
+        del calls[1:]  # keep the noise draw's kxx, drop the gradient call's kernels
+        monkeypatch.setattr(divergences, "mmd_imq_value_and_grad", no_gradient)
+        assert loss_and_grads(*args, probe=(record, "enc", 0))[1] is None
         assert calls == [(12, 12)] * 3
 
     @pytest.mark.parametrize("variant", config.W2_VARIANTS)
@@ -461,10 +463,11 @@ class TestLossOnly:
                 module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
             )
         args = loss_inputs(ring_config(w2_variant=variant, prior_stats=prior), False)
-        assert loss_and_grads(*args, grads=False)[1] is None
-        assert calls == []
-        loss_and_grads(*args)  # the spies see the full call
+        _, grads = loss_and_grads(*args)  # the spies see the full call
         assert calls == ["grad_trace_sqrtm", "batch_stats_backward"]
+        calls.clear()
+        assert loss_and_grads(*args, probe=(grads.forward, "enc", 0))[1] is None
+        assert calls == []
 
 
 class TestPriorTerms:
@@ -479,11 +482,9 @@ class TestPriorTerms:
 
         for module, name in PRIOR_ONLY:
             monkeypatch.setattr(module, name, forbidden)
-        _, grads = loss_and_grads(*args, probe=(None, "enc", 0))
-        loss_and_grads(*args)
-        loss_and_grads(*args, grads=False)
+        _, grads = loss_and_grads(*args)
         for layer in range(3):
-            loss_and_grads(*args, grads=False, probe=(grads.forward, "enc", layer))
+            loss_and_grads(*args, probe=(grads.forward, "enc", layer))
 
 
 class TestTrainStep:

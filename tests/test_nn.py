@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wwae.config import TrainConfig
 from wwae.nn import (
     ADAM_CHUNK,
+    ADAM_EPS,
     AdamState,
     MlpParams,
     adam_step,
@@ -261,19 +263,23 @@ def test_mlp_params_validation():
         MlpParams([np.eye(2), np.zeros((1, 3))], [np.zeros(2), np.zeros(1)])
 
 
+# lr, beta1, beta2 as the default config sets them
+DEFAULT = (TrainConfig.lr, TrainConfig.beta1, TrainConfig.beta2)
+
+
 class TestAdam:
     def test_zero_grad_no_move(self):
         s = AdamState()
         params = np.array([1.0, -2.0])
-        out = adam_step(s, params.copy(), np.zeros(2))
+        out = adam_step(s, params.copy(), np.zeros(2), *DEFAULT)
         np.testing.assert_array_equal(out, params)
 
     def test_updates_in_place(self):
         params = np.zeros(3)
-        assert adam_step(AdamState(), params, np.ones(3)) is params
+        assert adam_step(AdamState(), params, np.ones(3), *DEFAULT) is params
         assert np.all(params < 0.0)
         with pytest.raises(ValueError):
-            adam_step(AdamState(), [0.0, 0.0], np.ones(2))
+            adam_step(AdamState(), [0.0, 0.0], np.ones(2), *DEFAULT)
 
     # 50 steps cross two decay boundaries; 400 steps also pass t = 54 and
     # t = 356, from which 1 - 0.5**t and 1 - 0.9**t round to exactly 1.0
@@ -286,26 +292,24 @@ class TestAdam:
     )
     def test_matches_allocating_formula_bit_for_bit(self, size, steps, decay_every):
         # the textbook update with temporaries, as the optimizer read before
-        # it updated in place and in blocks
-        kw = dict(lr=0.01, beta1=0.5, beta2=0.9, decay_every=decay_every, decay_factor=0.5)
-        s = AdamState(**kw)
-        ref = AdamState(**kw)
+        # it updated in place and in blocks, on the config's schedule
+        cfg = TrainConfig(lr=0.01, beta1=0.5, beta2=0.9, decay_every=decay_every, decay_factor=0.5)
+        s = AdamState()
         rng = Rng(21)
         p = rng.normal(1, size).ravel()
         want = p.copy()
         m = v = np.zeros_like(p)
         lrs = set()
-        for _ in range(steps):
+        for t in range(1, steps + 1):
             g = rng.normal(1, size).ravel() * np.exp(rng.normal(1, size).ravel())
-            lr = ref.effective_lr()
+            lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
             lrs.add(lr)
-            ref.t += 1
-            m = ref.beta1 * m + (1.0 - ref.beta1) * g
-            v = ref.beta2 * v + (1.0 - ref.beta2) * g**2
-            m_hat = m / (1.0 - ref.beta1**ref.t)
-            v_hat = v / (1.0 - ref.beta2**ref.t)
-            want = want - lr * m_hat / (np.sqrt(v_hat) + ref.eps)
-            adam_step(s, p, g)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g**2
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            adam_step(s, p, g, cfg.lr_at(s.t), cfg.beta1, cfg.beta2)
         assert len(lrs) == 3 and s.t == steps
         assert p.tobytes() == want.tobytes()
         assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
@@ -318,10 +322,10 @@ class TestAdam:
         s = AdamState()
         tracemalloc.start()
         try:
-            adam_step(s, params, grads)
+            adam_step(s, params, grads, *DEFAULT)
             kept, first_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            adam_step(s, params, grads)
+            adam_step(s, params, grads, *DEFAULT)
             later_peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
@@ -333,33 +337,30 @@ class TestAdam:
 
     def test_rejects_non_vector(self):
         with pytest.raises(ValueError, match="must be a vector"):
-            adam_step(AdamState(), np.zeros((2, 3)), np.zeros((2, 3)))
+            adam_step(AdamState(), np.zeros((2, 3)), np.zeros((2, 3)), *DEFAULT)
 
     def test_first_step_hand_value(self):
-        s = AdamState(lr=0.1, beta1=0.9, beta2=0.999)
-        out = adam_step(s, np.zeros(1), np.ones(1))
+        out = adam_step(AdamState(), np.zeros(1), np.ones(1), 0.1, 0.9, 0.999)
         want = -0.1 / (1.0 + 1e-8)
         assert abs(out[0] - want) < 1e-15
 
     def test_decay_schedule(self):
-        s = AdamState(lr=0.005, decay_every=10_000, decay_factor=0.9, t=10_000)
-        assert abs(s.effective_lr() - 0.9 * 0.005) < 1e-15
-        s.t = 9_999
-        assert s.effective_lr() == 0.005
-        s.decay_every = 0  # disabled
-        s.t = 10**6
-        assert s.effective_lr() == 0.005
+        cfg = TrainConfig(lr=0.005, decay_every=10_000, decay_factor=0.9)
+        assert abs(cfg.lr_at(10_000) - 0.9 * 0.005) < 1e-15
+        assert cfg.lr_at(9_999) == 0.005
+        cfg.decay_every = 0  # disabled
+        assert cfg.lr_at(10**6) == 0.005
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(AdamState(), np.zeros(2), np.zeros(3))
+            adam_step(AdamState(), np.zeros(2), np.zeros(3), *DEFAULT)
 
     def test_deterministic_sequence(self):
         def run():
-            s = AdamState(lr=0.01)
+            s = AdamState()
             p = np.ones(4)
             for k in range(10):
-                p = adam_step(s, p, np.sin(p + k))
+                p = adam_step(s, p, np.sin(p + k), 0.01, *DEFAULT[1:])
             return p
 
         np.testing.assert_array_equal(run(), run())
