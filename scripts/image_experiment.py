@@ -31,10 +31,7 @@ def main() -> None:
 
     full = make_blob_images(Rng(args.seed).split(3), args.train_size + args.held_size)
     train = Dataset(
-        full.examples[: args.train_size],
-        full.labels[: args.train_size],
-        "blobs-train",
-        full.image_shape,
+        full.examples[: args.train_size], full.labels[: args.train_size], full.image_shape
     )
     held = full.examples[args.train_size :]
     images_path = out / "blobs-images-idx3"

@@ -13,7 +13,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -41,31 +40,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-@dataclass
-class RunManifest:
-    """Config echo, per-interval log records, and the final metric block."""
-
-    config: list[str] = field(default_factory=list)
-    records: list[str] = field(default_factory=list)
-    final: list[str] = field(default_factory=list)
-
-    def text(self) -> str:
-        lines = ["# config"]
-        lines += self.config
-        lines.append("# log")
-        lines += self.records
-        lines.append("# final")
-        lines += self.final
-        return "\n".join(lines) + "\n"
-
-
-def _record_line(report: models.StepReport) -> str:
-    return (
-        f"step={report.step} total={report.total!r} recon={report.recon!r} "
-        f"reg={report.reg!r} lr={report.lr!r}"
-    )
-
-
 def _write_sample_artifact(
     state: TrainState, rng: Rng, out: Path, count: int
 ) -> Path:
@@ -86,7 +60,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)  # made only once the data loads
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest(config=config_lines(cfg))
+    manifest = ["# config", *config_lines(cfg), "# log"]
     log_every = cfg.eval_every if cfg.eval_every > 0 else 100
     desk_fid = None
     if cfg.eval_every > 0:
@@ -101,59 +75,49 @@ def cmd_train(args: argparse.Namespace) -> int:
     fids = []  # (desk_fid, step) of each evaluation
 
     started = time.monotonic()
-    report = None
-    while state.step < cfg.steps:
-        x = next(stream)
-        try:
-            report = models.train_step(state, x)
-        except TrainingDiverged as exc:
-            save_checkpoint(out_dir / (CHECKPOINT_NAME + ".diverged"), state)
-            manifest.final.append(f"diverged_at_step={exc.step}")
-            with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
-                fh.write(manifest.text())
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-        at_interval = report.step % log_every == 0
-        if at_interval or report.step == cfg.steps:
-            line = _record_line(report)
-            manifest.records.append(line)
-            print(f"{line} wall={time.monotonic() - started:.1f}s")
-        if desk_fid is not None and (
-            report.step % cfg.eval_every == 0 or report.step == cfg.steps
-        ):
-            step_rng = eval_base.split(report.step)
-            score = desk_fid.score(
-                models.generate(state.model, step_rng.split(0), eval_count)
+    parts, diverged = None, None
+    try:
+        while state.step < cfg.steps:
+            parts = models.train_step(state, next(stream))
+            step, last = state.step, state.step == cfg.steps
+            if step % log_every == 0 or last:
+                line = (
+                    f"step={step} total={parts.total!r} recon={parts.recon!r} "
+                    f"reg={parts.reg!r} lr={cfg.lr_at(step - 1)!r}"
+                )
+                manifest.append(line)
+                print(f"{line} wall={time.monotonic() - started:.1f}s")
+            if desk_fid is not None and (step % cfg.eval_every == 0 or last):
+                models.check_finite(state)
+                step_rng = eval_base.split(step)
+                score = desk_fid.score(models.generate(state.model, step_rng.split(0), eval_count))
+                fids.append((score, step))
+                manifest.append(f"step={step} desk_fid={score!r}")
+                print(f"step={step} desk_fid={score!r}  ({DESK_FID_NOTE})")
+                ext = ".pgm" if state.image_shape is not None else ".csv"
+                out = out_dir / f"samples_step{step:06d}{ext}"
+                _write_sample_artifact(state, step_rng.split(1), out, SAMPLE_GRID_COUNT)
+        models.check_finite(state)  # no loss has seen the last update
+        final = [f"final_step={state.step}"]
+        if parts is not None:
+            final.append(
+                f"final_total={parts.total!r} final_recon={parts.recon!r} final_reg={parts.reg!r}"
             )
-            fids.append((score, report.step))
-            manifest.records.append(f"step={report.step} desk_fid={score!r}")
-            print(f"step={report.step} desk_fid={score!r}  ({DESK_FID_NOTE})")
-            ext = ".pgm" if state.image_shape is not None else ".csv"
-            _write_sample_artifact(
-                state,
-                step_rng.split(1),
-                out_dir / f"samples_step{report.step:06d}{ext}",
-                SAMPLE_GRID_COUNT,
-            )
+        if fids:
+            best, best_step = min(fids)  # equal scores go to the earliest step
+            final.append(f"fid_final={fids[-1][0]!r} fid_best={best!r} fid_best_step={best_step}")
+    except TrainingDiverged as exc:
+        diverged, final = exc, [f"diverged_at_step={exc.step}"]
 
-    save_checkpoint(out_dir / CHECKPOINT_NAME, state)
-    manifest.final.append(f"final_step={state.step}")
-    if report is not None:
-        manifest.final.append(
-            f"final_total={report.total!r} final_recon={report.recon!r} "
-            f"final_reg={report.reg!r}"
-        )
-    if fids:
-        best, best_step = min(fids)  # equal scores go to the earliest step
-        manifest.final.append(
-            f"fid_final={fids[-1][0]!r} fid_best={best!r} fid_best_step={best_step}"
-        )
+    # However the run ended: one checkpoint, one manifest, one closing line.
+    suffix = "" if diverged is None else ".diverged"
+    save_checkpoint(out_dir / (CHECKPOINT_NAME + suffix), state)
     with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
-        fh.write(manifest.text())
-    print(
-        f"done steps={state.step} out={out_dir} wall={time.monotonic() - started:.1f}s"
-    )
+        fh.write("\n".join([*manifest, "# final", *final]) + "\n")
+    if diverged is not None:
+        print(f"error: {diverged}", file=sys.stderr)
+        return 1
+    print(f"done steps={state.step} out={out_dir} wall={time.monotonic() - started:.1f}s")
     return 0
 
 

@@ -28,15 +28,16 @@ RING_MODES, RING_RADIUS, RING_SIGMA = 8, 2.0, 0.1
 
 @dataclass
 class Dataset:
-    """Immutable example matrix with optional integer labels.
+    """Immutable example matrix, one row per example, with optional integer
+    labels, one per row.
 
     Image data lives in [0, 1] (scaled by 1/255) and carries image_shape;
-    synthetic 2-D data has image_shape None.
+    synthetic 2-D data has image_shape None. A dataset carries no name: the
+    config or the IDX path that built it says where it came from.
     """
 
     examples: Matrix
     labels: Optional[np.ndarray]
-    name: str
     image_shape: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
@@ -112,7 +113,7 @@ def load_idx(
             raise ValueError(f"label file has {ln} entries for {n} images")
         labels = raw.ravel().astype(np.int64)
 
-    return Dataset(examples, labels, images_path.name, (rows, cols))
+    return Dataset(examples, labels, (rows, cols))
 
 
 def write_idx_images(path: str | Path, images: Matrix, shape: tuple[int, int]) -> None:
@@ -140,7 +141,7 @@ def make_ring(rng: Rng, n: int) -> Dataset:
         raise ValueError(f"need at least {RING_MODES} points, got {n}")
     labels = rng.integers(0, RING_MODES, n)
     points = ring_centers()[labels] + RING_SIGMA * rng.normal(n, 2)
-    return Dataset(points, labels.astype(np.int64), f"ring{RING_MODES}", None)
+    return Dataset(points, labels.astype(np.int64))
 
 
 def ring_centers() -> Matrix:
@@ -176,7 +177,7 @@ def make_blob_images(
     diffs = grid[None, :, None, :] - anchors[:, None, :, :]  # n x px x 3 x 2
     bumps = np.exp(-np.sum(diffs**2, axis=-1) / (2.0 * width**2))
     images = np.clip(np.sum(bumps * amps[:, None, :], axis=-1), 0.0, 1.0)
-    return Dataset(images, labels.astype(np.int64), "blobs", (side, side))
+    return Dataset(images, labels.astype(np.int64), (side, side))
 
 
 def derive_labels_path(images_path: str | Path) -> Optional[Path]:

@@ -130,15 +130,18 @@ def write_latent_csv(
 def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """Open a temporary file beside `path` for writing; when the block ends
     it replaces `path`. If the block raises, the temporary file is removed
-    and `path` keeps its previous content."""
+    and `path` keeps its previous content; an OSError about the temporary
+    file names `path` instead, the file the caller asked for."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename, exc.filename2 = str(path), None
         raise
 
 

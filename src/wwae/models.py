@@ -77,24 +77,12 @@ class LossParts:
     reg: float
 
 
-@dataclass
-class StepReport:
-    step: int
-    total: float
-    recon: float
-    reg: float
-    lr: float
-
-
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, parts: LossParts, max_grad: float):
-        super().__init__(
-            f"non-finite loss at step {step}: total={parts.total} "
-            f"recon={parts.recon} reg={parts.reg} max|grad|={max_grad}"
-        )
+    """A non-finite loss or parameter; `step` is the number of steps taken."""
+
+    def __init__(self, step: int, what: str, detail: str):
+        super().__init__(f"non-finite {what} at step {step}: {detail}")
         self.step = step
-        self.parts = parts
-        self.max_grad = max_grad
 
 
 def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> Model:
@@ -241,9 +229,6 @@ class Grads:
     def dec(self) -> np.ndarray:
         return self.flat[self.n_enc :]
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.flat)))
-
 
 def loss_and_grads(
     model: Model,
@@ -349,33 +334,52 @@ def draw_step_noise(
     return z_prior, prior, rng.normal(n, ell)
 
 
-def train_step(state: TrainState, x: Matrix) -> StepReport:
-    """One optimizer step on one mini-batch; mutates state."""
+def train_step(state: TrainState, x: Matrix) -> LossParts:
+    """One optimizer step on one mini-batch: draws the step's noise from
+    `state.rng`, updates `state.model.theta` and `state.adam` in place, and
+    returns the batch's loss parts, taken before the update. The step count
+    and the rate it used are `state.step` and `cfg.lr_at(state.step - 1)`.
+    A non-finite loss raises TrainingDiverged before the update. A
+    non-finite update is not checked here: see `check_finite`."""
     cfg = state.config
     n = x.shape[0]
     ell = state.model.latent_dim
 
     z_prior, prior, eps = draw_step_noise(cfg, state.rng, n, ell)
 
-    # Overflow to inf/nan is detected right below and reported as
-    # TrainingDiverged, so the element-wise warnings are redundant noise.
-    # LinAlgError happens when exploded latents reach the eigensolver.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow to inf/nan is reported as TrainingDiverged, by the loss check
+    # below or by `check_finite`, so the element-wise warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             parts, grads = loss_and_grads(state.model, cfg, x, eps, z_prior, prior)
-    except np.linalg.LinAlgError:
-        nan = float("nan")
-        raise TrainingDiverged(state.step, LossParts(nan, nan, nan), nan) from None
-    if not (
-        np.isfinite(parts.total) and np.isfinite(parts.recon) and np.isfinite(parts.reg)
-    ):
-        raise TrainingDiverged(state.step, parts, grads.max_abs())
+        except np.linalg.LinAlgError:  # exploded latents reached the eigensolver
+            raise TrainingDiverged(state.step, "loss", "eigensolver failed") from None
+        if not np.isfinite(parts.total):  # also when recon or reg is not finite
+            raise TrainingDiverged(
+                state.step, "loss", f"total={parts.total} recon={parts.recon} "
+                f"reg={parts.reg} max|grad|={float(np.max(np.abs(grads.flat)))}"
+            )
+        # Adam is element-wise and both networks share lr, betas and t, so one
+        # update over enc || dec gives the bits of one update per network.
+        lr = cfg.lr_at(state.step)
+        nn.adam_step(state.adam, state.model.theta, grads.flat, lr, cfg.beta1, cfg.beta2)
+    return parts
 
-    # Adam is element-wise and both networks share lr, betas and t, so one
-    # update over enc || dec gives the bits of one update per network.
-    lr = cfg.lr_at(state.step)
-    nn.adam_step(state.adam, state.model.theta, grads.flat, lr, cfg.beta1, cfg.beta2)
-    return StepReport(state.step, parts.total, parts.recon, parts.reg, lr)
+
+def check_finite(state: TrainState) -> None:
+    """Raise TrainingDiverged naming each layer with a non-finite parameter.
+    It reads every parameter, so callers run it before they use or save the
+    parameters, not after every step."""
+    m = state.model
+    layers = [
+        f"{net}.{kind}{i}"
+        for net, params in (("enc", m.enc), ("dec", m.dec))
+        for i, wb in enumerate(zip(params.weights, params.biases))
+        for kind, a in zip("Wb", wb)
+        if not np.isfinite(a).all()
+    ]
+    if layers:
+        raise TrainingDiverged(state.step, "parameters", ", ".join(layers))
 
 
 def generate(model: Model, rng: Rng, count: int) -> Matrix:

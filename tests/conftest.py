@@ -1,11 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wwae import divergences, models, spectral
-from wwae.cli import RunManifest
 from wwae.numerics import Matrix, Rng
 from wwae.spectral import GaussStats
 
@@ -74,20 +74,17 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w)
 
 
-def parse_manifest(text: str) -> RunManifest:
-    """Split a written manifest.txt back into its three sections."""
-    manifest = RunManifest()
+def parse_manifest(text: str) -> SimpleNamespace:
+    """Split a written manifest.txt back into its three sections: the lists
+    `config`, `records` (the log) and `final`."""
+    manifest = SimpleNamespace(config=[], records=[], final=[])
+    sections = {"# config": manifest.config, "# log": manifest.records, "# final": manifest.final}
     section = None
     for line in text.splitlines():
-        if line in ("# config", "# log", "# final"):
-            section = line[2:]
-            continue
-        if section == "config":
-            manifest.config.append(line)
-        elif section == "log":
-            manifest.records.append(line)
-        elif section == "final":
-            manifest.final.append(line)
+        if line in sections:
+            section = sections[line]
+        elif section is not None:
+            section.append(line)
     return manifest
 
 

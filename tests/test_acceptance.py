@@ -241,7 +241,7 @@ def test_criterion_6_image_training_beats_untrained_baseline():
 
     root = Rng(cfg.seed)
     full = make_blob_images(root.split(3), 4096 + 2048)
-    train_ds = Dataset(full.examples[:4096], None, "blobs-train", full.image_shape)
+    train_ds = Dataset(full.examples[:4096], None, full.image_shape)
     held = full.examples[4096:]
     state = models.init_train_state(cfg, train_ds.dim, train_ds.image_shape)
 

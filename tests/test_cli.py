@@ -56,6 +56,19 @@ RING_CFG = {
 }
 
 
+# A ring run whose one update overflows the parameters to +-inf and NaN.
+OVERFLOW_CFG = {
+    "dataset": "ring",
+    "limit": 64,
+    "latent_dim": 2,
+    "enc_hidden": "4",
+    "dec_hidden": "4",
+    "batch_size": 8,
+    "steps": 1,
+    "lr": "1e308",
+}
+
+
 def write_cfg(path, **kv):
     path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
     return path
@@ -183,6 +196,15 @@ class TestTrain:
         manifest = parse_manifest((tmp_path / "a" / "manifest.txt").read_text())
         assert manifest.records[-1] == GOLDEN_FINAL_RECORD
 
+    def test_log_reports_the_rate_of_the_logged_step(self, tmp_path):
+        values = {**RING_CFG, "steps": 2, "lr": 0.004, "decay_every": 1, "decay_factor": 0.5}
+        cfg = write_cfg(tmp_path / "l.cfg", **values, out_dir=tmp_path / "a")
+        assert main(["train", "--config", str(cfg)]) == 0
+        manifest = parse_manifest((tmp_path / "a" / "manifest.txt").read_text())
+        assert manifest.records == [manifest.records[0]]
+        assert manifest.records[0].startswith("step=2 ")
+        assert manifest.records[0].endswith(" lr=0.002")
+
     def test_log_independent_of_out_dir(self, tmp_path):
         for name in ("a", "b"):
             cfg = write_cfg(
@@ -254,15 +276,25 @@ class TestTrain:
             tmp_path / "fresh" / "fid_basis.bin"
         ).read_bytes()
 
-    def test_divergence_artifacts(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path / "d.cfg",
-            **{**RING_CFG, "steps": 10, "lr": "1e150"},
-            out_dir=tmp_path / "a",
-        )
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({**RING_CFG, "steps": 10, "lr": "1e150"}, "non-finite loss at step"),
+            # the last update overflows, so no loss ever sees its parameters
+            ({**OVERFLOW_CFG, "eval_every": 0}, "non-finite parameters at step 1: enc."),
+            ({**OVERFLOW_CFG, "eval_every": 1}, "non-finite parameters at step 1: enc."),
+        ],
+        ids=["loss", "last-update", "last-update-eval"],
+    )
+    def test_divergence_artifacts(self, tmp_path, capsys, values, message):
+        cfg = write_cfg(tmp_path / "d.cfg", **values, out_dir=tmp_path / "a")
         rc = main(["train", "--config", str(cfg)])
         assert rc == 1
-        assert "non-finite loss at step" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "done" not in captured.out
         assert (tmp_path / "a" / "model.ckpt.diverged").is_file()
         manifest = parse_manifest((tmp_path / "a" / "manifest.txt").read_text())
         assert any(line.startswith("diverged_at_step=") for line in manifest.final)
@@ -763,6 +795,18 @@ LIMITED_MAIN = (
 
 
 class TestArtifactWrites:
+    @pytest.mark.parametrize("command", ["sample", "latent"])
+    def test_missing_directory_names_the_given_path(
+        self, ring_run, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main([command, "--ckpt", str(ring_run["ckpt"]), "--out", "missing/s.csv"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "missing/s.csv" in err[0] and ".tmp" not in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "run, command, name",
         [

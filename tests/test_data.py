@@ -220,4 +220,4 @@ def test_load_dataset_ring_and_idx(tmp_path):
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), "bad", None)
+        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))

@@ -265,7 +265,7 @@ class TestLatentReport:
         np.testing.assert_array_equal(rep.labels, ds.labels[:32])
 
     def test_unlabeled_dataset(self):
-        ds = Dataset(np.zeros((16, 3)), None, "blank", None)
+        ds = Dataset(np.zeros((16, 3)), None)
         rep = latent_report(self.zero_encoder(3, 2), ds, Rng(1), 8)
         assert rep.labels is None
 
@@ -281,7 +281,7 @@ class TestLatentReport:
         assert rep.codes.shape == (20, 2)
 
     def test_too_few_examples(self):
-        ds = Dataset(np.zeros((5, 2)), None, "tiny", None)
+        ds = Dataset(np.zeros((5, 2)), None)
         with pytest.raises(ValueError, match="at least 2"):
             latent_report(self.zero_encoder(2, 2), ds, Rng(1), 1)
 

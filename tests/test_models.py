@@ -504,9 +504,9 @@ class TestTrainStep:
         state, ds = fresh_state(cfg)
         stream = batches(ds, cfg.batch_size, state.data_rng)
         for k in range(3):
-            rep = train_step(state, next(stream))
-            assert np.isfinite(rep.total)
-            assert rep.step == k + 1
+            parts = train_step(state, next(stream))
+            assert np.isfinite(parts.total)
+            assert state.step == k + 1
         # one optimizer steps the encoder and the decoder together
         assert state.adam.t == 3
         assert state.adam.m.size == state.adam.v.size == state.model.theta.size
@@ -525,12 +525,18 @@ class TestTrainStep:
         train_step(state, ds.examples[: cfg.batch_size])
         assert len(calls) == (1 if prior == "exact" else 2)
 
-    def test_effective_lr_reported(self):
+    def test_effective_lr_reported(self, monkeypatch):
+        # each update runs at the rate the log line reports, lr_at(step - 1)
+        used = []
+        adam_step = nn.adam_step
+        monkeypatch.setattr(nn, "adam_step", lambda *a: used.append(a[3]) or adam_step(*a))
         cfg = ring_config(steps=2, decay_every=1, decay_factor=0.5, lr=0.004)
         state, ds = fresh_state(cfg)
         stream = batches(ds, cfg.batch_size, state.data_rng)
-        assert train_step(state, next(stream)).lr == 0.004
-        assert train_step(state, next(stream)).lr == 0.002
+        for _ in range(2):
+            train_step(state, next(stream))
+            assert used[-1] == cfg.lr_at(state.step - 1)
+        assert used == [0.004, 0.002]
 
     def test_divergence_raises_with_diagnostics(self):
         cfg = ring_config(lr=1e150, steps=10, prior_stats="exact", lam=10.0)

@@ -314,6 +314,29 @@ class TestAdam:
         assert p.tobytes() == want.tobytes()
         assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
 
+    def test_special_gradients_bit_for_bit(self):
+        # +-0, subnormal and huge gradients, whose squares round to 0 or
+        # overflow to inf, before and after t = 54 and t = 356 of the default
+        # betas, where the bias corrections round to 1.0 and are skipped
+        cfg = TrainConfig(decay_every=100, decay_factor=0.5)
+        special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 1e160, -1e200, 3.0])
+        s, rng = AdamState(), Rng(8)
+        p = rng.normal(1, 5 * special.size).ravel()
+        want = p.copy()
+        m = v = np.zeros_like(p)
+        with np.errstate(over="ignore"):
+            for t in range(1, 401):
+                g = np.tile(special, 5) * rng.normal(1, p.size).ravel()
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * g**2
+                m_hat = m / (1.0 - cfg.beta1**t)
+                v_hat = v / (1.0 - cfg.beta2**t)
+                want = want - cfg.lr_at(t - 1) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                adam_step(s, p, g, cfg.lr_at(s.t), cfg.beta1, cfg.beta2)
+        assert np.isinf(v).any() and (v == 0.0).any() and (np.abs(v) < 2.3e-308).sum() > 10
+        assert p.tobytes() == want.tobytes()
+        assert s.m.tobytes() == m.tobytes() and s.v.tobytes() == v.tobytes()
+
     def test_scratch_is_one_block(self):
         # a 437k-value vector (the criterion-6 image model's size) allocates
         # its two moments on the first step and at most a block of scratch
