@@ -3,11 +3,11 @@
 Small MLP auto-encoders trained with a closed-form Gaussian Wasserstein-2
 latent regularizer (trace cross-term or exact Bures variant), with KL and
 IMQ-MMD baselines, deterministic seeded training, and Frechet-distance
-evaluation on fixed PCA-of-pixels features.
+evaluation in a fixed feature space (PCA of pixels, or raw coordinates).
 """
 
 from .config import TrainConfig, load_config
-from .divergences import W2Variant, gaussian_w2, mmd_imq_value_and_grad
+from .divergences import W2Variant, gaussian_w2, imq_prior_side, mmd_imq_value_and_grad
 from .numerics import Rng
 from .spectral import GaussStats, batch_stats, sqrtm_psd
 
@@ -18,6 +18,7 @@ __all__ = [
     "load_config",
     "W2Variant",
     "gaussian_w2",
+    "imq_prior_side",
     "mmd_imq_value_and_grad",
     "Rng",
     "GaussStats",

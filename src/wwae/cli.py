@@ -26,10 +26,6 @@ from .numerics import Rng
 
 SAMPLE_GRID_COUNT = 64
 FID_EVAL_CAP = 10_000  # reference-set size for training-time desk-FID
-DESK_FID_NOTE = (
-    "desk-FID uses fixed PCA-of-pixels features; "
-    "values are not comparable to Inception-based FID tables"
-)
 
 CHECKPOINT_NAME = "model.ckpt"
 MANIFEST_NAME = "manifest.txt"
@@ -59,6 +55,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     stream = data.batches(dataset, cfg.batch_size, state.data_rng)
     out_dir = Path(cfg.out_dir)  # made only once the data loads
     out_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's files go, so none is left beside this run's; others stay.
+    earlier = [CHECKPOINT_NAME, CHECKPOINT_NAME + ".diverged", BASIS_NAME]
+    for path in [*(out_dir / name for name in earlier), *out_dir.glob("samples_step*")]:
+        path.unlink(missing_ok=True)
 
     manifest = ["# config", *config_lines(cfg), "# log"]
     log_every = cfg.eval_every if cfg.eval_every > 0 else 100
@@ -93,7 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 score = desk_fid.score(models.generate(state.model, step_rng.split(0), eval_count))
                 fids.append((score, step))
                 manifest.append(f"step={step} desk_fid={score!r}")
-                print(f"step={step} desk_fid={score!r}  ({DESK_FID_NOTE})")
+                print(f"step={step} desk_fid={score!r}  ({desk_fid.note})")
                 ext = ".pgm" if state.image_shape is not None else ".csv"
                 out = out_dir / f"samples_step{step:06d}{ext}"
                 _write_sample_artifact(state, step_rng.split(1), out, SAMPLE_GRID_COUNT)
@@ -165,28 +165,26 @@ def cmd_fid(args: argparse.Namespace) -> int:
             raise ValueError("feature mode needs both --features-a and --features-b")
         fa = metrics.read_features_csv(args.features_a)
         fb = metrics.read_features_csv(args.features_b)
-        score = metrics.fid(fa, fb)
-    else:
-        if not args.ckpt:
-            raise ValueError(
-                "need either --features-a/--features-b or --ckpt (+ optional --data)"
-            )
-        if args.count < 2:
-            raise ValueError(f"count must be at least 2, got {args.count}")
-        state = load_checkpoint(args.ckpt)
-        real = _dataset_for(state, args.data, args.count).examples[: args.count]
-        if real.shape[0] < 2:
-            raise ValueError(f"desk-FID needs at least 2 data rows, found {real.shape[0]}")
-        # The basis written by `wwae train` when there is one; otherwise one
-        # fitted on these rows and kept in memory: this command writes nothing.
-        basis_path = Path(args.ckpt).parent / BASIS_NAME
-        basis = None
-        if state.image_shape is not None and basis_path.is_file():
-            basis = metrics.load_basis(basis_path)
-        desk_fid = metrics.DeskFid(real, state.image_shape is not None, basis)
-        generated = models.generate(state.model, Rng(args.seed), real.shape[0])
-        score = desk_fid.score(generated)
-    print(f"# {DESK_FID_NOTE}")
+        print(f"desk_fid={metrics.fid(fa, fb)!r}")  # in the features' own space
+        return 0
+    if not args.ckpt:
+        raise ValueError("need either --features-a/--features-b or --ckpt (+ optional --data)")
+    if args.count < 2:
+        raise ValueError(f"count must be at least 2, got {args.count}")
+    state = load_checkpoint(args.ckpt)
+    real = _dataset_for(state, args.data, args.count).examples[: args.count]
+    if real.shape[0] < 2:
+        raise ValueError(f"desk-FID needs at least 2 data rows, found {real.shape[0]}")
+    # The basis written by `wwae train` when there is one; otherwise one
+    # fitted on these rows and kept in memory: this command writes nothing.
+    basis_path = Path(args.ckpt).parent / BASIS_NAME
+    basis = None
+    if state.image_shape is not None and basis_path.is_file():
+        basis = metrics.load_basis(basis_path)
+    desk_fid = metrics.DeskFid(real, state.image_shape is not None, basis)
+    generated = models.generate(state.model, Rng(args.seed), real.shape[0])
+    score = desk_fid.score(generated)
+    print(f"# {desk_fid.note}")
     print(f"desk_fid={score!r}")
     return 0
 

@@ -13,6 +13,10 @@ DATASETS = ("ring", "idx")
 REGULARIZERS = ("w2", "kl", "mmd")
 W2_VARIANTS = ("root_product", "bures")
 PRIOR_STATS = ("sampled", "exact")
+# The settings that take one of a fixed set of values.
+_CHOICES = dict(
+    dataset=DATASETS, regularizer=REGULARIZERS, w2_variant=W2_VARIANTS, prior_stats=PRIOR_STATS
+)
 
 # Field name in TrainConfig -> key name in config files ("lambda" is a
 # Python keyword, so the field is called lam).
@@ -55,20 +59,9 @@ class TrainConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 key = _KEY_OF_FIELD.get(f.name, f.name)
                 raise ValueError(f"{key} must be finite, got {getattr(self, f.name)}")
-        if self.dataset not in DATASETS:
-            raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(
-                f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}"
-            )
-        if self.w2_variant not in W2_VARIANTS:
-            raise ValueError(
-                f"w2_variant must be one of {W2_VARIANTS}, got {self.w2_variant!r}"
-            )
-        if self.prior_stats not in PRIOR_STATS:
-            raise ValueError(
-                f"prior_stats must be one of {PRIOR_STATS}, got {self.prior_stats!r}"
-            )
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if self.batch_size < 2:

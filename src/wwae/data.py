@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .images import to_bytes_image
 from .numerics import Matrix, Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -122,7 +123,7 @@ def write_idx_images(path: str | Path, images: Matrix, shape: tuple[int, int]) -
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1] != rows * cols:
         raise ValueError(f"rows have {images.shape[1]} pixels, shape wants {rows * cols}")
-    data = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
+    data = to_bytes_image(images)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, images.shape[0], rows, cols))
         fh.write(data.tobytes())

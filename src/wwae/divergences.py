@@ -4,8 +4,9 @@ Training makes one call per penalty that returns the value and its gradient
 together, so the two share their eigendecompositions (W2) or kernel matrices
 (MMD). `gaussian_w2` and `_mmd_imq_parts` compute the value alone, with the
 same operations and so the same bits; FID uses the first, loss-only
-evaluations both. Each also takes the terms of the prior's side precomputed
-(Sp's root; x's kxx term), which training computes once per step.
+evaluations both. Each takes the terms of the prior's side precomputed (Sp's
+root; `imq_prior_side`, which alone sets the MMD kernel constant C), which
+training computes once per step.
 
 The two W2 variants differ only in the covariance cross term:
 
@@ -87,24 +88,24 @@ def _imq_kernel(a: Matrix, a_sq: np.ndarray, b: Matrix, b_sq: np.ndarray, c: flo
     return np.divide(c, k, out=k)
 
 
-def _imq_prior_side(x: Matrix, scale_c: float):
-    """C, x's squared row norms and kxx's term: `_mmd_imq_parts` of x alone."""
+def imq_prior_side(x: Matrix, scale_c: float):
+    """The `x_side` of the IMQ-MMD: the kernel constant C = scale_c * 2 * d
+    (the standard-normal-prior convention), x's squared row norms, kxx's term."""
+    if scale_c <= 0:
+        raise ValueError(f"scale_c must be positive, got {scale_c}")
     n, c = x.shape[0], scale_c * 2.0 * x.shape[1]
     x_sq = np.add.reduce(x * x, axis=1)
     kxx = _imq_kernel(x, x_sq, x, x_sq, c)
     return c, x_sq, (kxx.sum() - kxx.trace()) / (n * (n - 1))
 
 
-def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float, x_side=None):
+def _mmd_imq_parts(x: Matrix, y: Matrix, x_side):
     """The `mmd_imq_value_and_grad` value, the kernel constant C and the
-    kyy and kxy matrices that the gradient shares with the value.
-    `x_side`, if given, is `_imq_prior_side(x, scale_c)`."""
+    kyy and kxy matrices that the gradient shares with the value."""
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError(f"mmd_imq needs at least 2 points per side, got {n}, {m}")
-    if scale_c <= 0:
-        raise ValueError(f"scale_c must be positive, got {scale_c}")
-    c, x_sq, term_x = x_side or _imq_prior_side(x, scale_c)
+    c, x_sq, term_x = x_side
     y_sq = np.add.reduce(y * y, axis=1)
     kyy = _imq_kernel(y, y_sq, y, y_sq, c)
     kxy = _imq_kernel(x, x_sq, y, y_sq, c)
@@ -113,21 +114,16 @@ def _mmd_imq_parts(x: Matrix, y: Matrix, scale_c: float, x_side=None):
     return float(term_x + term_y - cross), c, kyy, kxy
 
 
-def mmd_imq_value_and_grad(
-    x: Matrix, y: Matrix, scale_c: float = 1.0, x_side=None
-) -> tuple[float, Matrix]:
-    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel, and
-    its gradient with respect to the rows of y (x held fixed).
-
-    Kernel k(a, b) = C / (C + ||a - b||^2) with C = scale_c * 2 * d, the
-    standard-normal-prior convention. Each kernel matrix is built once; the
-    gradient reuses kyy and kxy from the value. `x_side`, if given, is
-    `_imq_prior_side(x, scale_c)`.
+def mmd_imq_value_and_grad(x: Matrix, y: Matrix, x_side) -> tuple[float, Matrix]:
+    """Unbiased MMD^2 U-statistic with the inverse multiquadric kernel
+    k(a, b) = C / (C + ||a - b||^2), and its gradient with respect to the
+    rows of y (x held fixed). `x_side` is `imq_prior_side(x, scale_c)`, which
+    fixes C. Each kernel matrix is built once; the gradient reuses kyy and kxy.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, m = x.shape[0], y.shape[0]
-    value, c, kyy, kxy = _mmd_imq_parts(x, y, scale_c, x_side)
+    value, c, kyy, kxy = _mmd_imq_parts(x, y, x_side)
 
     # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C; the weights k^2/C overwrite k,
     # which the value no longer needs.

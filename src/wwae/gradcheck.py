@@ -1,8 +1,9 @@
 """Full-model finite-difference gradient verification.
 
-Probes every encoder and decoder parameter of a model built from a config,
-holding the batch and all sampling noise fixed, and compares analytic
-gradients against central differences of the same loss. One full
+Checks the loss of a training state's next step: `state.model` on one batch
+with the noise `train_step` would draw from `state.rng`. Every encoder and
+decoder parameter is probed, with the batch and that noise held fixed, and
+analytic gradients are compared against central differences. One full
 `models.loss_and_grads` call gives the analytic gradients and its forward
 record: each network's layer inputs and the regularizer value. Each of the
 2n probes passes that record and the step's prior terms, so it runs no
@@ -54,20 +55,16 @@ def _coordinates(model: models.Model) -> Iterator[tuple[str, int, str]]:
                 yield net, layer, f"{net}.b{layer}[{i}]"
 
 
-def check_model_grads(
-    cfg: TrainConfig, x: np.ndarray, image_data: bool = False
-) -> GradCheckResult:
-    """Compare analytic and central-difference gradients on one fixed batch."""
-    n = x.shape[0]
-    root = Rng(cfg.seed)
-    model = models.build_model(cfg, x.shape[1], root.split(2), image_data=image_data)
-    z_prior, prior, eps = models.draw_step_noise(cfg, root.split(1), n, cfg.latent_dim)
+def check_model_grads(state: models.TrainState, x: np.ndarray) -> GradCheckResult:
+    """Compare analytic and central-difference gradients on one fixed batch.
+    The noise draw advances `state.rng` (pass a copy with its own `rng` to
+    keep a run's stream); each probe bumps one coordinate of `model.theta`
+    in place and puts it back, so parameters and optimizer stay as they were."""
+    cfg, model = state.config, state.model
+    z_prior, prior, eps = models.draw_step_noise(cfg, state.rng, x.shape[0], model.latent_dim)
 
     args = (model, cfg, x, eps, z_prior, prior)
     _, grads = models.loss_and_grads(*args)
-
-    # The model is this function's own: each probe bumps one coordinate of
-    # its parameter vector in place and puts the saved value back.
     theta = model.theta
 
     def loss_at(k: int, value: float, probe: tuple) -> float:
@@ -97,11 +94,10 @@ def check_model_grads(
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:
-    """Run the suite on the first batch of the configured dataset; of IDX
-    data only that batch is read."""
+    """Check the first step of a run of `cfg` on the first batch of its
+    dataset; of IDX data only that batch is read."""
     dataset = data.load_dataset(cfg, Rng(cfg.seed).split(3), cfg.batch_size)
     if cfg.batch_size > dataset.n:  # as `wwae train` refuses it
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
-    return check_model_grads(
-        cfg, dataset.examples[: cfg.batch_size], image_data=dataset.image_shape is not None
-    )
+    state = models.init_train_state(cfg, dataset.dim, dataset.image_shape)
+    return check_model_grads(state, dataset.examples[: cfg.batch_size])

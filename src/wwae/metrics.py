@@ -1,10 +1,10 @@
 """Evaluation metrics: Frechet distance between Gaussian fits of feature
-sets (the FID protocol with a PCA-of-pixels feature extractor), mode
-coverage on synthetic mixtures, and latent-statistics diagnostics.
+sets (the FID protocol), mode coverage on synthetic mixtures, and
+latent-statistics diagnostics.
 
-The feature extractor here is a fixed top-k PCA basis of the real pixels,
-not an Inception network, so absolute values are not comparable to
-published FID tables; every CLI surface labels the number "desk-FID".
+A model's desk-FID (`DeskFid`) scores in a fixed top-k PCA basis of the real
+pixels, or in raw coordinates for point data, not in Inception features, so
+it is not comparable to published FID tables; its `note` names the space.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .spectral import GaussStats
 DEFAULT_FEATURE_DIM = 32
 
 BASIS_MAGIC = "WWAEBASIS 1"
+_NOT_INCEPTION = "values are not comparable to Inception-based FID tables"
 
 
 def fid(a: Matrix, b: Matrix) -> float:
@@ -94,13 +95,16 @@ class DeskFid:
     """Desk-FID of generated rows against fixed real rows, in one feature
     space fixed here: the given basis, else the top-k pixel-PCA basis of the
     real rows for image data, else raw coordinates (basis None). Fitting a
-    basis per side would score the two sides in different spaces."""
+    basis per side would score the two sides in different spaces. `note`
+    names that space for the line a score is printed with."""
 
     def __init__(self, real: Matrix, image_data: bool, basis: Optional[Matrix] = None):
         if basis is None and image_data:
             basis = fit_pca_basis(real, min(DEFAULT_FEATURE_DIM, *np.shape(real)))
         self.basis = basis
         self.real = self._features(real)
+        space = "raw coordinates" if basis is None else "fixed PCA-of-pixels features"
+        self.note = f"desk-FID uses {space}; {_NOT_INCEPTION}"
 
     def _features(self, rows: Matrix) -> Matrix:
         return rows if self.basis is None else pixel_pca_features(rows, self.basis)

@@ -183,15 +183,15 @@ def _kl_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads
 def _mmd_prior(cfg: TrainConfig, rng: Rng, n: int, ell: int):
     """A prior batch and its kernel terms: C, its squared norms, kxx's term."""
     z_prior = rng.normal(n, ell)
-    return z_prior, divergences._imq_prior_side(z_prior, cfg.mmd_scale)
+    return z_prior, divergences.imq_prior_side(z_prior, cfg.mmd_scale)
 
 
 def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads) -> RegTerm:
-    """IMQ-kernel MMD between the prior batch and the codes."""
+    """IMQ-kernel MMD between the prior batch and the codes; the prior terms
+    carry the kernel constant."""
     if not grads:
-        value = divergences._mmd_imq_parts(z_prior, z, cfg.mmd_scale, prior)[0]
-        return value, None, None, None
-    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, cfg.mmd_scale, prior)
+        return divergences._mmd_imq_parts(z_prior, z, prior)[0], None, None, None
+    value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, prior)
     return value, cfg.lam * grad, None, None
 
 

@@ -123,7 +123,7 @@ def w2_1d_empirical(x: np.ndarray, y: np.ndarray) -> float:
 # (`divergences` imports `sqrtm_psd` by name) and the MMD prior-prior kernel
 # term.
 PRIOR_ONLY = (
-    (divergences, "_imq_prior_side"),
+    (divergences, "imq_prior_side"),
     (divergences, "sqrtm_psd"),
     (spectral, "sqrtm_psd"),
 )

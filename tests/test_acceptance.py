@@ -45,7 +45,7 @@ def test_criterion_1_gradient_correctness_all_regularizers():
             seed=2,
             **overrides,
         ).validate()
-        res = gradcheck.check_model_grads(cfg, x)
+        res = gradcheck.check_model_grads(models.init_train_state(cfg, x.shape[1], None), x)
         worst[kind] = res.max_rel_err
     wall = time.monotonic() - started
 

@@ -69,6 +69,24 @@ OVERFLOW_CFG = {
 }
 
 
+# A few steps of a small image model; `data_path` comes from `blob_idx`.
+SMALL_IMAGE_CFG = dict(
+    dataset="idx", limit=96, latent_dim=2, enc_hidden="8", dec_hidden="8", batch_size=16,
+    steps=4, seed=2,
+)
+
+# The note each desk-FID line carries, by the feature space it scores in.
+PCA_NOTE = (
+    "desk-FID uses fixed PCA-of-pixels features; "
+    "values are not comparable to Inception-based FID tables"
+)
+RAW_NOTE = "desk-FID uses raw coordinates; values are not comparable to Inception-based FID tables"
+
+
+def names_in(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
 def write_cfg(path, **kv):
     path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
     return path
@@ -300,6 +318,35 @@ class TestTrain:
         assert any(line.startswith("diverged_at_step=") for line in manifest.final)
         assert not (tmp_path / "a" / "model.ckpt").exists()
 
+    def test_diverged_rerun_leaves_none_of_the_earlier_runs_files(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        first = {k: v for k, v in OVERFLOW_CFG.items() if k != "lr"}
+        first.update(steps=4, eval_every=2, out_dir=out)
+        assert main(["train", "--config", str(write_cfg(tmp_path / "1.cfg", **first))]) == 0
+        assert names_in(out) == [
+            "manifest.txt", "model.ckpt", "samples_step000002.csv", "samples_step000004.csv"
+        ]
+        cfg = write_cfg(tmp_path / "2.cfg", **OVERFLOW_CFG, out_dir=out)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert names_in(out) == ["manifest.txt", "model.ckpt.diverged"]
+        capsys.readouterr()
+        argv = ["sample", "--ckpt", str(out / "model.ckpt"), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_rerun_leaves_no_earlier_basis_and_keeps_other_files(self, tmp_path, blob_idx):
+        out = tmp_path / "a"
+        values = dict(SMALL_IMAGE_CFG, data_path=blob_idx, out_dir=out)
+        with_eval = write_cfg(tmp_path / "e.cfg", **values, eval_every=4)
+        assert main(["train", "--config", str(with_eval)]) == 0
+        assert "fid_basis.bin" in names_in(out)
+        (out / "notes.txt").write_text("mine\n")
+        assert main(["train", "--config", str(write_cfg(tmp_path / "n.cfg", **values))]) == 0
+        assert names_in(out) == ["manifest.txt", "model.ckpt", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "mine\n"
+
 
 class TestSample:
     def test_image_grid_dimensions(self, image_run, tmp_path):
@@ -501,6 +548,29 @@ class TestFid:
         assert captured.err.splitlines() == [
             "error: desk-FID is not finite: the feature statistics overflow float64"
         ]
+
+    def test_feature_mode_prints_only_the_score(self, tmp_path, capsys):
+        # the features are the user's, so no line claims a feature space
+        p = tmp_path / "f.csv"
+        write_points_csv(p, Rng(2).normal(30, 3))
+        assert main(["fid", "--features-a", str(p), "--features-b", str(p)]) == 0
+        assert capsys.readouterr().out == "desk_fid=0.0\n"
+
+    @pytest.mark.parametrize("kind", ["ring", "image"])
+    def test_note_names_the_feature_space(self, tmp_path, capsys, blob_idx, kind):
+        # image runs score in the pixel-PCA basis, ring runs in raw
+        # coordinates; train and fid --ckpt say which
+        if kind == "ring":
+            values, note = {**RING_CFG, "eval_every": 10}, RAW_NOTE
+        else:
+            values, note = dict(SMALL_IMAGE_CFG, data_path=blob_idx, eval_every=2), PCA_NOTE
+        cfg = write_cfg(tmp_path / "c.cfg", **values, out_dir=tmp_path / "a")
+        assert main(["train", "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "desk_fid=" in line]
+        assert len(lines) == 2 and all(line.endswith(f"  ({note})") for line in lines)
+        assert main(["fid", "--ckpt", str(tmp_path / "a" / "model.ckpt"), "--count", "64"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0] == f"# {note}" and out[1].startswith("desk_fid=")
 
     def test_no_inputs_rejected(self, capsys):
         assert main(["fid"]) == 1

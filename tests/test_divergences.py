@@ -19,6 +19,7 @@ from wwae.divergences import (
     W2Variant,
     gaussian_w2,
     gaussian_w2_value_and_grad,
+    imq_prior_side,
     mmd_imq_value_and_grad,
 )
 from wwae.numerics import Rng
@@ -250,8 +251,13 @@ class TestKl:
         assert np.isfinite(v)
 
 
+def mmd(x, y, scale_c):
+    """The fused value and gradient, with x's side and C from `imq_prior_side`."""
+    return mmd_imq_value_and_grad(x, y, imq_prior_side(x, scale_c))
+
+
 def mmd_value(x, y, scale_c):
-    return mmd_imq_value_and_grad(x, y, scale_c)[0]
+    return mmd(x, y, scale_c)[0]
 
 
 class TestMmd:
@@ -277,16 +283,18 @@ class TestMmd:
     def test_preconditions(self):
         one = np.ones((1, 2))
         two = np.ones((2, 2))
+        with np.errstate(invalid="ignore"):  # kxx's term of one point is 0 / 0
+            one_side = imq_prior_side(one, 1.0)
         with pytest.raises(ValueError, match="at least 2 points per side, got 1, 2"):
-            mmd_imq_value_and_grad(one, two, 1.0)
+            mmd_imq_value_and_grad(one, two, one_side)
         with pytest.raises(ValueError, match="at least 2 points per side, got 2, 1"):
-            mmd_imq_value_and_grad(two, one, 1.0)
+            mmd(two, one, 1.0)
         with pytest.raises(ValueError, match="scale_c must be positive, got 0.0"):
-            mmd_imq_value_and_grad(two, two, 0.0)
+            imq_prior_side(two, 0.0)
 
     def test_grad_y_matches_finite_differences(self, rng):
         x, y = rng.normal(6, 3), rng.normal(5, 3)
-        g = mmd_imq_value_and_grad(x, y, 1.0)[1]
+        g = mmd(x, y, 1.0)[1]
         h = 1e-6
         for _ in range(20):
             i = int(rng.integers(0, 5, 1)[0])
@@ -311,7 +319,7 @@ class TestMmdValueAndGrad:
         cases = [(rng.normal(n, d), rng.normal(m, d)) for n in self.SIZES for m in self.SIZES]
         cases += [(x, x.copy()) for x in (rng.normal(n, d) for n in self.SIZES)]
         for x, y in cases:
-            value, grad = mmd_imq_value_and_grad(x, y, scale_c)
+            value, grad = mmd(x, y, scale_c)
             assert type(value) is float
             assert value == mmd_imq(x, y, scale_c)
             assert grad.shape == y.shape
@@ -358,16 +366,15 @@ class TestImqInPlace:
             kxx, kyy, kxy = (imq_kernel_matrix(a, b, c) for a, b in ((x, x), (y, y), (x, y)))
             x_sq, term_x = np.sum(x**2, axis=1), (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
             value, grad = mmd_imq(x, y, scale_c), mmd_imq_grad_y(x, y, scale_c)
-            side = divergences._imq_prior_side(x, scale_c)
-            parts = [divergences._mmd_imq_parts(x, y, scale_c, s) for s in (None, side)]
-            fused = mmd_imq_value_and_grad(x, y, scale_c)
+            side = imq_prior_side(x, scale_c)
+            got = divergences._mmd_imq_parts(x, y, side)
+            fused = mmd_imq_value_and_grad(x, y, side)
         assert side[0] == c
         assert_same_bits(side[1], x_sq)
         assert_same_bits(side[2], term_x)
-        for got in parts:
-            assert type(got[0]) is float and got[1] == c
-            for part, want in zip(got, (value, c, kyy, kxy)):
-                assert_same_bits(part, want)
+        assert type(got[0]) is float and got[1] == c
+        for part, want in zip(got, (value, c, kyy, kxy)):
+            assert_same_bits(part, want)
         assert type(fused[0]) is float
         assert_same_bits(fused[0], value)
         assert_same_bits(fused[1], grad)
@@ -383,7 +390,7 @@ class TestImqInPlace:
         call = mmd_imq_value_and_grad if fused else divergences._mmd_imq_parts
         tracemalloc.start()
         try:
-            call(x, y, 1.0)
+            call(x, y, imq_prior_side(x, 1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 from dataclasses import astuple
 
@@ -27,6 +29,12 @@ def tiny_config(**overrides):
     return TrainConfig(**base).validate()
 
 
+def check_rows(cfg, x, image_shape=None):
+    """`check_model_grads` on rows x from the state a run of `cfg` starts in."""
+    state = models.init_train_state(cfg, x.shape[1], image_shape)
+    return gradcheck.check_model_grads(state, x)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -54,14 +62,14 @@ def test_analytic_matches_finite_difference(overrides):
     ],
 )
 def test_result_names_the_regularizer(overrides, kind):
-    res = gradcheck.check_model_grads(tiny_config(**overrides), Rng(7).normal(8, 2))
+    res = check_rows(tiny_config(**overrides), Rng(7).normal(8, 2))
     assert res.regularizer == kind
 
 
 def test_image_path_with_sigmoid_output():
     cfg = tiny_config(regularizer="w2", prior_stats="exact")
     x = Rng(7).uniform(8, 9)
-    res = gradcheck.check_model_grads(cfg, x, image_data=True)
+    res = check_rows(cfg, x, (3, 3))
     assert res.passed, res.report_line()
 
 
@@ -82,7 +90,7 @@ def test_idx_check_reads_only_the_batch(monkeypatch, tmp_path):
     data.write_idx_images(path, blobs.examples, blobs.image_shape)
     cfg = tiny_config(dataset="idx", data_path=str(path), limit=32, regularizer="mmd")
     whole = data.load_idx(path, None, cfg.limit)
-    want = gradcheck.check_model_grads(cfg, whole.examples[: cfg.batch_size], image_data=True)
+    want = check_rows(cfg, whole.examples[: cfg.batch_size], blobs.image_shape)
     loads = []
     load_idx = data.load_idx
 
@@ -176,7 +184,7 @@ def run_check(cfg, image_data):
     """One check of `cfg` on ring rows (identity output) or on 8 sigmoid-image
     rows of width 9."""
     if image_data:
-        return gradcheck.check_model_grads(cfg, Rng(7).uniform(8, 9), image_data=True)
+        return check_rows(cfg, Rng(7).uniform(8, 9), (3, 3))
     return gradcheck.check_config(cfg)
 
 
@@ -298,13 +306,36 @@ def test_prior_terms_are_taken_once_per_check(monkeypatch, case):
     cfg = tiny_config(enc_hidden=(5, 4), dec_hidden=(4, 5), **case)
     gradcheck.check_config(cfg)
     if case["regularizer"] == "mmd":
-        prior = ["_imq_prior_side"]
+        prior = ["imq_prior_side"]
     elif case.get("prior_stats") == "sampled":
         prior = ["sqrtm_psd"]
     else:
         prior = []
     n_params = sum(nn.n_params(w) for w in models.net_widths(cfg, 2))
     assert events == prior + ["loss"] * (1 + 2 * n_params)
+
+
+@pytest.mark.parametrize("case", PROBE_CASES, ids=lambda c: "-".join(c.values()))
+def test_checks_the_next_step_of_a_live_state(monkeypatch, case):
+    # after k steps, a check on a copy of the state with its own rng checks
+    # the loss the next train_step takes, and leaves the run's parameters,
+    # Adam moments and noise stream as they were
+    cfg = tiny_config(enc_hidden=(), dec_hidden=(), **case)
+    dataset = data.load_dataset(cfg, Rng(cfg.seed).split(3))
+    state = models.init_train_state(cfg, dataset.dim, None)
+    stream = data.batches(dataset, cfg.batch_size, state.data_rng)
+    for _ in range(5):
+        models.train_step(state, next(stream))
+    x = next(stream)
+    before = [a.tobytes() for a in (state.model.theta, state.adam.m, state.adam.v)]
+    analytic = spy_probes(monkeypatch, lambda *_: None)
+
+    res = gradcheck.check_model_grads(dataclasses.replace(state, rng=copy.deepcopy(state.rng)), x)
+    assert res.passed, res.report_line()
+    assert [a.tobytes() for a in (state.model.theta, state.adam.m, state.adam.v)] == before
+    assert state.step == 5
+    ((checked, _),) = analytic
+    assert astuple(models.train_step(state, x)) == astuple(checked)
 
 
 # The check of the CHANGES.md FOUND config (ring, hidden 24,24,24 on both

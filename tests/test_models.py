@@ -434,6 +434,20 @@ class TestLossOnly:
         assert grads is not None and none is None
         assert np.array(astuple(only)).tobytes() == np.array(astuple(full)).tobytes()
 
+    def test_mmd_kernel_constant_comes_with_the_prior_terms(self):
+        # the step's prior terms carry C; the loss reads no mmd_scale after
+        # the noise draw, full or loss-only
+        cfg = ring_config(regularizer="mmd", mmd_scale=0.5)
+        args = loss_inputs(cfg, False)
+        full, grads = loss_and_grads(*args)
+        only, _ = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
+        cfg.mmd_scale = 0.0  # bypasses validate
+        full_after, grads_after = loss_and_grads(*args)
+        only_after, _ = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
+        for got, want in ((full_after, full), (only_after, only)):
+            assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+        assert grads_after.flat.tobytes() == grads.flat.tobytes()
+
     def test_value_only_mmd_builds_three_kernels_and_no_gradient(self, monkeypatch):
         calls = []
         kernel = divergences._imq_kernel
@@ -675,7 +689,7 @@ class TestDrawStepNoise:
         if cfg.regularizer == "kl":
             want = None
         elif cfg.regularizer == "mmd":
-            want = divergences._imq_prior_side(z_prior, 0.5)
+            want = divergences.imq_prior_side(z_prior, 0.5)
         elif cfg.prior_stats == "exact":
             want = (GaussStats(np.zeros(3), np.eye(3)), np.eye(3))
         else:
