@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .images import to_bytes_image
+from .images import atomic_open, to_bytes_image
 from .numerics import Matrix, Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -124,16 +124,22 @@ def write_idx_images(path: str | Path, images: Matrix, shape: tuple[int, int]) -
     if images.shape[1] != rows * cols:
         raise ValueError(f"rows have {images.shape[1]} pixels, shape wants {rows * cols}")
     data = to_bytes_image(images)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, images.shape[0], rows, cols))
         fh.write(data.tobytes())
 
 
 def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
+    """Write integer labels in 0..255 as an IDX labels file."""
     labels = np.asarray(labels)
-    with open(path, "wb") as fh:
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats are caught below
+        data = labels.astype(np.uint8)
+    bad = data != labels
+    if bad.any():
+        raise ValueError(f"IDX labels must be integers in 0..255, got {labels[bad][0]}")
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.astype(np.uint8).tobytes())
+        fh.write(data.tobytes())
 
 
 def make_ring(rng: Rng, n: int) -> Dataset:

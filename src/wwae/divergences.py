@@ -42,14 +42,14 @@ def _gaussian_w2_parts(p: GaussStats, q: GaussStats, variant: W2Variant, p_root=
     p_root = sqrtm_psd(p.cov) if p_root is None else p_root
     if variant is W2Variant.ROOT_PRODUCT:
         dec = eigh_psd(q.cov)
-        cross = float(np.trace(p_root @ sqrtm_from_eigh(dec)))
+        cross = float((p_root @ sqrtm_from_eigh(dec)).trace())
     else:
         dec = eigh_psd(p_root @ q.cov @ p_root)
-        cross = float(np.trace(sqrtm_from_eigh(dec)))
-    if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov):
+        cross = float(sqrtm_from_eigh(dec).trace())
+    if (p.mean == q.mean).all() and (p.cov == q.cov).all():
         return 0.0, p_root, dec  # no rounding residue
-    value = float(np.sum((p.mean - q.mean) ** 2))
-    value += float(np.trace(p.cov) + np.trace(q.cov))
+    value = float(np.add.reduce((p.mean - q.mean) ** 2))
+    value += float(p.cov.trace() + q.cov.trace())
     return max(value - 2.0 * cross, 0.0), p_root, dec
 
 

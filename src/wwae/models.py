@@ -129,9 +129,12 @@ def recon_error(x: Matrix, x_hat: Matrix) -> float:
     """Mean over the batch of per-example squared L2 error."""
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    err = x - x_hat
-    err *= err
-    return float(np.add.reduce(np.add.reduce(err, axis=1))) / x.shape[0]
+    return _squared_error(x - x_hat)
+
+
+def _squared_error(residual: Matrix) -> float:
+    """`recon_error` of x_hat - x, whose squares are those of x - x_hat."""
+    return float(np.add.reduce(np.add.reduce(residual * residual, axis=1))) / residual.shape[0]
 
 
 # A regularizer is a pair. `prior(cfg, rng, n, ell)` draws the step's prior
@@ -160,11 +163,12 @@ def _w2_prior(cfg: TrainConfig, rng: Rng, n: int, ell: int):
 
 def _w2_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grads) -> RegTerm:
     """Closed-form W2 between the prior statistics and the fit to the codes."""
-    (p, p_root), q, variant = prior, spectral.batch_stats(z), W2Variant(cfg.w2_variant)
+    (p, p_root), variant = prior, W2Variant(cfg.w2_variant)
+    q, centered = spectral.centered_stats(z)
     if not grads:
         return divergences.gaussian_w2(p, q, variant, p_root), None, None, None
     value, gm, gc = divergences.gaussian_w2_value_and_grad(p, q, variant, p_root)
-    d_z = spectral.batch_stats_backward(z, cfg.lam * gm, cfg.lam * gc)
+    d_z = spectral.batch_stats_backward(centered, cfg.lam * gm, cfg.lam * gc)
     return value, d_z, None, None
 
 
@@ -263,15 +267,17 @@ def loss_and_grads(
     else:
         x_hat, dec_inputs = _decode(model, record.dec_inputs[layer], layer)
         reg = record.reg
-    recon = recon_error(x, x_hat)
+    residual = x_hat - x
+    recon = _squared_error(residual)
     parts = LossParts(recon + cfg.lam * reg, recon, reg)
     if probe is not None:
         return parts, None
 
     # Reconstruction path back to the latent codes.
-    d_xhat = (2.0 / n) * (x_hat - x)
+    d_xhat = np.multiply(residual, 2.0 / n, out=residual)
     if model.output_activation == "sigmoid":
-        d_xhat = d_xhat * x_hat * (1.0 - x_hat)
+        d_xhat *= x_hat
+        d_xhat *= 1.0 - x_hat
     n_enc = model.enc.n_params()
     forward = Forward(out.inputs, dec_inputs, reg)
     result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
@@ -280,16 +286,16 @@ def loss_and_grads(
     # The regularizer gradients are added only when weighted: at lam = 0
     # they hold zeros that would turn -0.0 into 0.0, or NaN from 0 * inf.
     if cfg.lam != 0.0 and reg_z is not None:
-        d_z = d_z + reg_z
-    # Reparameterization back to the heads.
-    d_mu = d_z
-    d_logvar = d_z * eps * (0.5 * np.exp(0.5 * out.logvar))
+        d_z += reg_z  # d_z is the decoder backward's own array
+    # Reparameterization back to the heads; the mean head's gradient is d_z.
+    d_logvar = d_z * eps
+    d_logvar *= 0.5 * np.exp(0.5 * out.logvar)
     if cfg.lam != 0.0 and reg_mu is not None:
-        d_mu = d_mu + reg_mu
-        d_logvar = d_logvar + reg_logvar
-    d_logvar = d_logvar * ((out.logvar > LOGVAR_MIN) & (out.logvar < LOGVAR_MAX))
+        d_z += reg_mu
+        d_logvar += reg_logvar
+    d_logvar *= (out.logvar > LOGVAR_MIN) & (out.logvar < LOGVAR_MAX)
 
-    grad_enc_y = np.concatenate([d_mu, d_logvar], axis=1)
+    grad_enc_y = np.concatenate([d_z, d_logvar], axis=1)
     nn.mlp_backward(model.enc, out.inputs, grad_enc_y, out=result.enc, input_grad=False)
     return parts, result
 

@@ -12,6 +12,7 @@ that pre-activation is, so it also holds layer i's ReLU mask.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,12 +119,13 @@ def mlp_backward(
     y_shape = (inputs[-1].shape[0], params.weights[-1].shape[0])
     if grad_y.shape != y_shape:
         raise ValueError(f"grad shape {grad_y.shape} does not match output {y_shape}")
-    grads = param_views(out, params.widths)
+    offsets = _layer_offsets(out, params.widths)
     ds = grad_y  # the last layer is linear
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
-        np.matmul(ds.T, inputs[i], out=grads.weights[i])
-        np.add.reduce(ds, axis=0, out=grads.biases[i])
+        start, mid, end = offsets[i]
+        np.matmul(ds.T, inputs[i], out=out[start:mid].reshape(w.shape))
+        np.add.reduce(ds, axis=0, out=out[mid:end])
         if i == 0:
             return ds @ w if input_grad else None
         ds = ds @ w
@@ -153,23 +155,33 @@ def flatten_params(params: MlpParams) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@functools.lru_cache(maxsize=64)  # a process meets a few widths
+def _offsets(widths: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Each layer's weight start, bias start and bias end in the flat layout."""
+    table, pos = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        table.append((pos, pos + fan_in * fan_out, pos + fan_in * fan_out + fan_out))
+        pos = table[-1][2]
+    return tuple(table)
+
+
+def _layer_offsets(flat: np.ndarray, widths: list[int]) -> tuple[tuple[int, int, int], ...]:
+    """The `_offsets` of `widths`, once `flat` is checked to hold that layout."""
+    if min(widths) < 1:
+        raise ValueError(f"layer widths must be positive, got {widths}")
+    offsets = _offsets(tuple(widths))
+    total = offsets[-1][2] if offsets else 0
+    if flat.size != total:
+        raise ValueError(f"expected {total} values for widths {widths}, got {flat.size}")
+    return offsets
+
+
 def param_views(flat: np.ndarray, widths: list[int]) -> MlpParams:
     """Weights and biases as reshaped views of `flat`, in `flatten_params`
     order: writing to a layer writes to `flat`, and the reverse."""
-    if min(widths) < 1:
-        raise ValueError(f"layer widths must be positive, got {widths}")
-    if flat.size != n_params(widths):
-        raise ValueError(
-            f"expected {n_params(widths)} values for widths {widths}, got {flat.size}"
-        )
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in))
-        pos += fan_in * fan_out
-        biases.append(flat[pos : pos + fan_out])
-        pos += fan_out
-    return MlpParams(weights, biases)
+    offsets = _layer_offsets(flat, widths)
+    weights = [flat[a:b].reshape(fan_out, -1) for (a, b, _), fan_out in zip(offsets, widths[1:])]
+    return MlpParams(weights, [flat[b:c] for _, b, c in offsets])
 
 
 def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:

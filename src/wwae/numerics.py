@@ -50,11 +50,11 @@ class Rng:
         n = rows * cols
         pairs = (n + 1) // 2
         u1 = 1.0 - self._gen.random(pairs)  # (0, 1], keeps log finite
-        u2 = self._gen.random(pairs)
+        angle = 2.0 * np.pi * self._gen.random(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
+        np.multiply(r, np.cos(angle), out=out[0::2])
+        np.multiply(r, np.sin(angle, out=angle), out=out[1::2])
         return out[:n].reshape(rows, cols)
 
     def uniform(self, rows: int, cols: int) -> Matrix:

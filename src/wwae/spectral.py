@@ -18,6 +18,7 @@ from .numerics import Matrix
 
 EIG_CLAMP = 1e-12  # floor for eigenvalues before square roots
 PSD_TOL = -1e-8  # most negative eigenvalue still treated as rounding
+_DENOM_FLOOR = 2.0 * np.sqrt(EIG_CLAMP)  # least grad_trace_sqrtm denominator
 
 
 @dataclass
@@ -65,7 +66,7 @@ def eigh_psd(a: Matrix) -> EigenDecomp:
     """
     dec = eigh(a)
     lo = dec.eigenvalues[-1]
-    tol = PSD_TOL * max(1.0, float(np.max(np.abs(dec.eigenvalues))))
+    tol = PSD_TOL * max(1.0, float(np.abs(dec.eigenvalues).max()))
     if lo < tol:
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e} < {tol:.0e}")
     return dec
@@ -94,9 +95,8 @@ def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix) -> Matrix:
     at 2*sqrt(EIG_CLAMP) so rank-deficient A stays differentiable.
     """
     roots = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    denom = np.maximum(roots[:, None] + roots[None, :], 2.0 * np.sqrt(EIG_CLAMP))
+    denom = np.maximum(roots[:, None] + roots[None, :], _DENOM_FLOOR)
     v = dec.eigenvectors
-    c = np.asarray(c, dtype=np.float64)
     s = v.T @ (0.5 * (c + c.T)) @ v
     g = v @ (s / denom) @ v.T
     # V S V^T is symmetric in exact arithmetic; enforce it bitwise so the
@@ -106,34 +106,30 @@ def grad_trace_sqrtm(dec: EigenDecomp, c: Matrix) -> Matrix:
 
 def batch_stats(z: Matrix) -> GaussStats:
     """Sample mean and unbiased (divisor n-1) covariance of the rows of z."""
-    z = np.asarray(z, dtype=np.float64)
+    return centered_stats(np.asarray(z, dtype=np.float64))[0]
+
+
+def centered_stats(z: Matrix) -> tuple[GaussStats, Matrix]:
+    """`batch_stats` of a float64 matrix, and the centred rows the adjoint takes."""
     n = z.shape[0]
     if n < 2:
         raise ValueError(f"batch_stats needs at least 2 rows, got {n}")
-    mean = z.mean(axis=0)
+    mean = np.add.reduce(z, axis=0) / n  # np.mean's arithmetic, without its wrapper
     centered = z - mean
-    cov = centered.T @ centered / (n - 1)
-    return GaussStats(mean, cov)
+    return GaussStats(mean, centered.T @ centered / (n - 1)), centered
 
 
-def batch_stats_backward(
-    z: Matrix,
-    grad_mean: np.ndarray,
-    grad_cov: Matrix,
-) -> Matrix:
-    """Exact adjoint of batch_stats.
+def batch_stats_backward(centered: Matrix, grad_mean: np.ndarray, grad_cov: Matrix) -> Matrix:
+    """Exact adjoint of batch_stats, given the centred rows z - mean that
+    `centered_stats` returns.
 
     Propagates <grad_mean, mean> + <grad_cov, cov> back to the rows:
     d/dz_i = grad_mean/n + (2/(n-1)) sym(grad_cov) (z_i - mean).
     """
-    z = np.asarray(z, dtype=np.float64)
-    n, d = z.shape
-    grad_mean = np.asarray(grad_mean, dtype=np.float64)
-    grad_cov = np.asarray(grad_cov, dtype=np.float64)
+    n, d = centered.shape
     if grad_mean.shape != (d,) or grad_cov.shape != (d, d):
         raise ValueError(
             f"gradient shapes {grad_mean.shape}, {grad_cov.shape} do not match data dim {d}"
         )
-    centered = z - z.mean(axis=0)
     sym = 0.5 * (grad_cov + grad_cov.T)
     return grad_mean / n + (2.0 / (n - 1)) * centered @ sym

@@ -110,6 +110,58 @@ class TestLoadIdx:
         np.testing.assert_array_equal(ds.examples, raw)
 
 
+class _FailsOnSecondWrite:
+    """A file whose second write raises, after its first (the header) landed."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+class TestWriteIdx:
+    def test_labels_outside_a_byte_rejected(self, tmp_path):
+        # a uint8 cast read these back as [44, 255, 7]
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        write_idx_images(ip, np.zeros((3, 4)), (2, 2))
+        with pytest.raises(ValueError, match=r"labels must be integers in 0\.\.255, got 300$"):
+            write_idx_labels(lp, np.array([300, -1, 7]))
+        for labels, first in (([7, -1, 256], "-1"), ([1.0, 2.5], "2.5"), ([3.0, np.nan], "nan")):
+            with pytest.raises(ValueError, match=f"got {first}$"):
+                write_idx_labels(lp, np.array(labels))
+        assert not lp.exists()
+        write_idx_labels(lp, np.array([0, 255, 7]))
+        np.testing.assert_array_equal(load_idx(ip, lp).labels, [0, 255, 7])
+
+    @pytest.mark.parametrize("kind", ["images", "labels"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, kind):
+        from wwae import images
+
+        p = tmp_path / kind
+        write = {
+            "images": lambda: write_idx_images(p, np.full((3, 4), 0.5), (2, 2)),
+            "labels": lambda: write_idx_labels(p, np.array([1, 2, 3])),
+        }[kind]
+        p.write_bytes(b"old contents")
+        monkeypatch.setattr(
+            images, "open", lambda path, mode: _FailsOnSecondWrite(open(path, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert p.read_bytes() == b"old contents"
+        assert sorted(tmp_path.iterdir()) == [p]
+
+
 def test_derive_labels_path(tmp_path):
     ip = tmp_path / "train-images-idx3-ubyte"
     lp = tmp_path / "train-labels-idx1-ubyte"

@@ -710,6 +710,61 @@ class TestDrawStepNoise:
         assert root.tobytes() == spectral.sqrtm_psd(stats.cov).tobytes()
 
 
+def w2_term_reference(cfg, z, prior):
+    """The w2 entry's value and d_z, written out in NumPy in the order the
+    library evaluates them."""
+    (p, p_root), n = prior, z.shape[0]
+    mean = z.mean(axis=0)
+    centered = z - mean
+    cov = centered.T @ centered / (n - 1)
+
+    def decomposition(a):
+        vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+        return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+    def root(vals, vecs):
+        return (vecs * np.sqrt(np.maximum(vals, 1e-12))) @ vecs.T
+
+    def grad_trace_root(vals, vecs, c):
+        roots = np.sqrt(np.maximum(vals, 0.0))
+        denom = np.maximum(roots[:, None] + roots[None, :], 2.0 * np.sqrt(1e-12))
+        g = vecs @ ((vecs.T @ (0.5 * (c + c.T)) @ vecs) / denom) @ vecs.T
+        return 0.5 * (g + g.T)
+
+    eye = np.eye(z.shape[1])
+    if cfg.w2_variant == "root_product":
+        vals, vecs = decomposition(cov)
+        cross = float(np.trace(p_root @ root(vals, vecs)))
+        grad_cov = eye - grad_trace_root(vals, vecs, 2.0 * p_root)
+    else:
+        vals, vecs = decomposition(p_root @ cov @ p_root)
+        cross = float(np.trace(root(vals, vecs)))
+        grad_cov = eye - 2.0 * p_root @ grad_trace_root(vals, vecs, eye) @ p_root
+    value = float(np.sum((p.mean - mean) ** 2)) + float(np.trace(p.cov) + np.trace(cov))
+    gm, gc = cfg.lam * (2.0 * (mean - p.mean)), cfg.lam * grad_cov
+    d_z = gm / n + (2.0 / (n - 1)) * centered @ (0.5 * (gc + gc.T))
+    return max(value - 2.0 * cross, 0.0), d_z
+
+
+class TestW2Term:
+    @pytest.mark.parametrize("variant", config.W2_VARIANTS)
+    @pytest.mark.parametrize("prior_stats", config.PRIOR_STATS)
+    @pytest.mark.parametrize("n", [2, 64, 256])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_equals_the_written_out_expressions(self, variant, prior_stats, n, offset):
+        # value and code gradient, full and loss-only, bit for bit; a large
+        # mean offset makes the centring's rounding show in every bit
+        cfg = ring_config(latent_dim=3, lam=10.0, w2_variant=variant, prior_stats=prior_stats)
+        z_prior, prior, _ = draw_step_noise(cfg, Rng(21), n, 3)
+        z = offset * np.array([1.0, -0.5, 0.25]) + 2.0 * Rng(22).normal(n, 3)
+        term = models.REGULARIZERS["w2"].term
+        value, d_z, d_mu, d_logvar = term(cfg, z, None, z_prior, prior, True)
+        want_value, want_d_z = w2_term_reference(cfg, z, prior)
+        assert value == want_value and d_mu is None and d_logvar is None
+        assert d_z.tobytes() == want_d_z.tobytes()
+        assert term(cfg, z, None, z_prior, prior, False) == (want_value, None, None, None)
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_everything(self, tmp_path):
         cfg = ring_config(steps=12)

@@ -132,6 +132,26 @@ class TestBackward:
             grad_a = ds @ p.weights[i]
         assert gx.tobytes() == grad_a.tobytes()
 
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_buffer_matches_param_views_reference(self, widths, rows, seed):
+        # each layer's gradient lands where param_views puts that layer,
+        # width-1 layers included
+        p = init_params(Rng(seed), widths)
+        _, inputs = mlp_forward(p, Rng(seed).split(0).normal(rows, widths[0]))
+        gy = Rng(seed).split(1).normal(rows, widths[-1])
+        out, want = np.full(p.n_params(), np.nan), np.full(p.n_params(), np.nan)
+        gx = mlp_backward(p, inputs, gy, out=out)
+        views, ds = param_views(want, widths), gy
+        for i in reversed(range(len(widths) - 1)):
+            np.matmul(ds.T, inputs[i], out=views.weights[i])
+            np.add.reduce(ds, axis=0, out=views.biases[i])
+            ds = ds @ p.weights[i]
+            if i > 0:
+                ds *= inputs[i] > 0.0
+        assert out.tobytes() == want.tobytes()
+        assert gx.tobytes() == ds.tobytes()
+
     def test_relu_mask_from_inputs_matches_preactivation_mask(self):
         # A forward record once held each layer's pre-activation s next to
         # its input, and backward masked with s > 0. The next layer's input

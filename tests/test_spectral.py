@@ -9,6 +9,7 @@ from wwae.spectral import (
     GaussStats,
     batch_stats,
     batch_stats_backward,
+    centered_stats,
     eigh,
     eigh_psd,
     grad_trace_sqrtm,
@@ -152,12 +153,14 @@ class TestBatchStatsBackward:
     def test_mean_only_path(self):
         z = np.arange(8.0).reshape(4, 2)
         gm = np.array([2.0, -4.0])
-        out = batch_stats_backward(z, gm, np.zeros((2, 2)))
+        out = batch_stats_backward(centered_stats(z)[1], gm, np.zeros((2, 2)))
         np.testing.assert_allclose(out, np.tile(gm / 4.0, (4, 1)))
 
     def test_cov_identity_path(self):
-        z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])  # centered
-        out = batch_stats_backward(z, np.zeros(2), np.eye(2))
+        z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])  # centred
+        stats, centered = centered_stats(z)
+        assert centered.tobytes() == z.tobytes() and stats.mean.tobytes() == np.zeros(2).tobytes()
+        out = batch_stats_backward(centered, np.zeros(2), np.eye(2))
         np.testing.assert_allclose(out, (2.0 / 3.0) * z)
 
     def test_adjoint_matches_finite_differences(self, rng):
@@ -165,7 +168,7 @@ class TestBatchStatsBackward:
         z = rng.normal(n, d)
         gm = rng.normal(d, 1).ravel()
         gc = rng.normal(d, d)
-        grad = batch_stats_backward(z, gm, gc)
+        grad = batch_stats_backward(centered_stats(z)[1], gm, gc)
 
         def scalar(zz):
             s = batch_stats(zz)
