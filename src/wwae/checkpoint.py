@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .config import config_lines, parse_config_text
 from .images import Blocks, read_framed, write_framed
-from .models import TrainState, arena_model, net_widths
+from .models import TrainState, arena_model
 from .numerics import Rng
 
 MAGIC = "WWAECKPT 1"
@@ -90,13 +90,13 @@ def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
         raise ValueError(f"checkpoint step must be an int, got {step!r}")
     if step < 0:
         raise ValueError(f"checkpoint step must be >= 0, got {step}")
-    n = sum(nn.n_params(widths) for widths in net_widths(cfg, data_dim))
+    model = arena_model(cfg, data_dim, shape is not None)
     adam = nn.AdamState(t=step)
     if step > 0:  # the moments exist from the first optimizer step on
-        adam.m, adam.v = np.empty(n), np.empty(n)
+        adam.m, adam.v = np.empty_like(model.theta), np.empty_like(model.theta)
     state = TrainState(
         config=cfg,
-        model=arena_model(np.empty(n), cfg, data_dim, shape is not None),
+        model=model,
         adam=adam,
         rng=Rng.from_state(_read(manifest, "rng")),
         data_rng=Rng.from_state(_read(manifest, "data_rng")),

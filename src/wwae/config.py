@@ -89,8 +89,17 @@ class TrainConfig:
             raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
-        if not self.mmd_scale > 0:
-            raise ValueError(f"mmd_scale must be > 0, got {self.mmd_scale}")
+        # The IMQ kernel is C / (C + squared distance). From C = 2**52 on,
+        # the float spacing at C is 1 or more, so squared distances below
+        # 0.5 round away and the kernel is exactly 1: the penalty reads 0,
+        # or NaN once C overflows. Below 2**-52 the penalty and its gradient
+        # are of order C, and the run trains a plain auto-encoder.
+        c = self.mmd_scale * 2.0 * self.latent_dim  # as imq_prior_side forms it
+        if not 2.0**-52 <= c < 2.0**52:
+            raise ValueError(
+                "mmd_scale must be in [2**-52, 2**52) once scaled to the kernel "
+                f"constant C = 2 * latent_dim * mmd_scale, got C = {c!r}"
+            )
         if self.dataset == "idx" and not self.data_path:
             raise ValueError("dataset=idx requires data_path")
         return self

@@ -2,7 +2,7 @@
 variants) with its analytic gradient, and IMQ-kernel MMD with its gradient.
 Training makes one call per penalty that returns the value and its gradient
 together, so the two share their eigendecompositions (W2) or kernel matrices
-(MMD). `gaussian_w2` and `_mmd_imq_parts` compute the value alone, with the
+(MMD). `gaussian_w2` and `mmd_imq_parts` compute the value alone, with the
 same operations and so the same bits; FID uses the first, loss-only
 evaluations both. Each takes the terms of the prior's side precomputed (Sp's
 root; `imq_prior_side`, which alone sets the MMD kernel constant C), which
@@ -62,12 +62,12 @@ def gaussian_w2(p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None) -
 
 
 def gaussian_w2_value_and_grad(
-    p: GaussStats, q: GaussStats, variant: W2Variant, p_root=None
+    p: GaussStats, q: GaussStats, variant: W2Variant, p_root: Matrix
 ) -> tuple[float, np.ndarray, Matrix]:
     """`gaussian_w2` and its gradients with respect to q's mean and
-    covariance, from the same eigendecompositions. Only the q side carries
-    gradients: in training, p holds the prior statistics, which do not
-    depend on the model parameters."""
+    covariance, from the same eigendecompositions; `p_root` is the root of
+    p's covariance. Only the q side carries gradients: in training, p holds
+    the prior statistics, which do not depend on the model parameters."""
     value, p_root, dec = _gaussian_w2_parts(p, q, variant, p_root)
     eye = np.eye(p.dim)
     if variant is W2Variant.ROOT_PRODUCT:
@@ -99,7 +99,7 @@ def imq_prior_side(x: Matrix, scale_c: float):
     return c, x_sq, (kxx.sum() - kxx.trace()) / (n * (n - 1))
 
 
-def _mmd_imq_parts(x: Matrix, y: Matrix, x_side):
+def mmd_imq_parts(x: Matrix, y: Matrix, x_side):
     """The `mmd_imq_value_and_grad` value, the kernel constant C and the
     kyy and kxy matrices that the gradient shares with the value."""
     n, m = x.shape[0], y.shape[0]
@@ -123,7 +123,7 @@ def mmd_imq_value_and_grad(x: Matrix, y: Matrix, x_side) -> tuple[float, Matrix]
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, m = x.shape[0], y.shape[0]
-    value, c, kyy, kxy = _mmd_imq_parts(x, y, x_side)
+    value, c, kyy, kxy = mmd_imq_parts(x, y, x_side)
 
     # dk/d(sq dist) = -C/(C+sq)^2 = -k^2/C; the weights k^2/C overwrite k,
     # which the value no longer needs.

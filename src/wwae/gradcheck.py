@@ -4,11 +4,11 @@ Checks the loss of a training state's next step: `state.model` on one batch
 with the noise `train_step` would draw from `state.rng`. Every encoder and
 decoder parameter is probed, with the batch and that noise held fixed, and
 analytic gradients are compared against central differences. One full
-`models.loss_and_grads` call gives the analytic gradients and its forward
-record: each network's layer inputs and the regularizer value. Each of the
-2n probes passes that record and the step's prior terms, so it runs no
-backward pass, takes nothing from the prior again and recomputes only from
-the bumped layer's input on, with the bits of a full forward.
+`models.loss_and_grads` call gives the analytic gradients and, in the same
+`Grads`, its record: each network's layer inputs and the regularizer value.
+Each of the 2n probes passes that record and the step's prior terms, so it
+runs no backward pass, takes nothing from the prior again and recomputes
+only from the bumped layer's input on, with the bits of a full forward.
 This is the decisive correctness gate for the hand-written backward passes.
 """
 
@@ -76,7 +76,7 @@ def check_model_grads(state: models.TrainState, x: np.ndarray) -> GradCheckResul
     checked = 0
     for k, (net, layer, name) in enumerate(_coordinates(model)):
         saved = theta[k]
-        probe = (grads.forward, net, layer)
+        probe = (grads, net, layer)
         hi = loss_at(k, saved + FD_STEP, probe)
         lo = loss_at(k, saved - FD_STEP, probe)
         theta[k] = saved

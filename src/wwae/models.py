@@ -60,11 +60,12 @@ def net_widths(cfg: TrainConfig, data_dim: int) -> tuple[list[int], list[int]]:
     return [data_dim, *cfg.enc_hidden, 2 * ell], [ell, *cfg.dec_hidden, data_dim]
 
 
-def arena_model(theta: np.ndarray, cfg: TrainConfig, data_dim: int, image_data: bool) -> Model:
+def arena_model(cfg: TrainConfig, data_dim: int, image_data: bool) -> Model:
     """The model the config describes for this data, with its networks as
-    views of the float64 vector `theta`."""
+    views of a new, uninitialised float64 vector `theta`."""
     enc_widths, dec_widths = net_widths(cfg, data_dim)
     n_enc = nn.n_params(enc_widths)
+    theta = np.empty(n_enc + nn.n_params(dec_widths))
     enc = nn.param_views(theta[:n_enc], enc_widths)
     dec = nn.param_views(theta[n_enc:], dec_widths)
     return Model(enc, dec, cfg.latent_dim, "sigmoid" if image_data else "identity", theta)
@@ -86,9 +87,11 @@ class TrainingDiverged(RuntimeError):
 
 
 def build_model(cfg: TrainConfig, data_dim: int, rng: Rng, image_data: bool) -> Model:
-    nets = [nn.init_params(rng, widths) for widths in net_widths(cfg, data_dim)]
-    theta = np.concatenate([nn.flatten_params(net) for net in nets])
-    return arena_model(theta, cfg, data_dim, image_data)
+    """`arena_model` with the encoder, then the decoder, initialised from `rng`."""
+    model = arena_model(cfg, data_dim, image_data)
+    for net in (model.enc, model.dec):
+        nn.init_params(rng, net)
+    return model
 
 
 def encode(params: nn.MlpParams, x: Matrix, start: int = 0) -> EncoderOut:
@@ -194,7 +197,7 @@ def _mmd_term(cfg: TrainConfig, z: Matrix, out: EncoderOut, z_prior, prior, grad
     """IMQ-kernel MMD between the prior batch and the codes; the prior terms
     carry the kernel constant."""
     if not grads:
-        return divergences._mmd_imq_parts(z_prior, z, prior)[0], None, None, None
+        return divergences.mmd_imq_parts(z_prior, z, prior)[0], None, None, None
     value, grad = divergences.mmd_imq_value_and_grad(z_prior, z, prior)
     return value, cfg.lam * grad, None, None
 
@@ -207,31 +210,17 @@ REGULARIZERS = {
 
 
 @dataclass
-class Forward:
-    """Each network's layer inputs and the regularizer value, as one
-    `loss_and_grads` call computed them."""
+class Grads:
+    """The loss gradient in the `Model.theta` layout, `flat` = enc || dec
+    with a view of each half, and the record of the call that computed it:
+    each network's layer inputs and the regularizer value."""
 
+    flat: np.ndarray
+    enc: np.ndarray
+    dec: np.ndarray
     enc_inputs: list[Matrix]
     dec_inputs: list[Matrix]
     reg: float
-
-
-@dataclass
-class Grads:
-    """The loss gradient in the `Model.theta` layout, enc || dec, and the
-    forward record of the call that computed it."""
-
-    flat: np.ndarray
-    n_enc: int
-    forward: Forward
-
-    @property
-    def enc(self) -> np.ndarray:
-        return self.flat[: self.n_enc]
-
-    @property
-    def dec(self) -> np.ndarray:
-        return self.flat[self.n_enc :]
 
 
 def loss_and_grads(
@@ -241,24 +230,24 @@ def loss_and_grads(
     eps: Matrix,
     z_prior: Optional[Matrix],
     prior: Any,
-    probe: Optional[tuple[Forward, str, int]] = None,
+    probe: Optional[tuple[Grads, str, int]] = None,
 ) -> tuple[LossParts, Optional[Grads]]:
     """Loss and exact parameter gradients for one batch with fixed noise.
 
     `z_prior` and `prior` are the step's prior batch (or None) and prior
     terms, as `draw_step_noise` returns them; a caller that repeats a batch
     passes the same ones again. A call whose parameters differ from an
-    earlier call's on the same inputs only in layer L of `net` ("enc" or
-    "dec") may pass `probe = (record, net, L)` with that call's
-    `Grads.forward`. Such a call is loss-only: it runs from layer L on with
+    earlier full call's on the same inputs only in layer L of `net` ("enc"
+    or "dec") may pass `probe = (grads, net, L)` with that call's `Grads`
+    as the record. Such a call is loss-only: it runs from layer L on with
     no backward pass and no regularizer gradient, and returns
     `(parts, None)` with the bits of a full forward.
     """
     n = x.shape[0]
     # A full call is a probe of the whole encoder, from x.
-    record, net, layer = probe or (Forward([x], [], 0.0), "enc", 0)
+    record, net, layer = probe or (None, "enc", 0)
     if net == "enc":
-        out = encode(model.enc, record.enc_inputs[layer], layer)
+        out = encode(model.enc, record.enc_inputs[layer] if probe else x, layer)
         z = reparameterize(out, eps)
         x_hat, dec_inputs = _decode(model, z)
         reg, reg_z, reg_mu, reg_logvar = REGULARIZERS[cfg.regularizer].term(
@@ -279,8 +268,8 @@ def loss_and_grads(
         d_xhat *= x_hat
         d_xhat *= 1.0 - x_hat
     n_enc = model.enc.n_params()
-    forward = Forward(out.inputs, dec_inputs, reg)
-    result = Grads(np.empty(n_enc + model.dec.n_params()), n_enc, forward)
+    flat = np.empty(n_enc + model.dec.n_params())
+    result = Grads(flat, flat[:n_enc], flat[n_enc:], out.inputs, dec_inputs, reg)
     d_z = nn.mlp_backward(model.dec, dec_inputs, d_xhat, out=result.dec)
 
     # The regularizer gradients are added only when weighted: at lam = 0
@@ -351,11 +340,10 @@ def train_step(state: TrainState, x: Matrix) -> LossParts:
     n = x.shape[0]
     ell = state.model.latent_dim
 
-    z_prior, prior, eps = draw_step_noise(cfg, state.rng, n, ell)
-
     # Overflow to inf/nan is reported as TrainingDiverged, by the loss check
     # below or by `check_finite`, so the element-wise warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
+        z_prior, prior, eps = draw_step_noise(cfg, state.rng, n, ell)
         try:
             parts, grads = loss_and_grads(state.model, cfg, x, eps, z_prior, prior)
         except np.linalg.LinAlgError:  # exploded latents reached the eigensolver

@@ -132,19 +132,18 @@ def mlp_backward(
         ds *= inputs[i] > 0.0  # ReLU subgradient at 0 is 0
 
 
-def init_params(rng: Rng, widths: list[int]) -> MlpParams:
-    """He init for the ReLU layers, Xavier (Glorot) for the last; zero biases."""
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        if fan_in < 1 or fan_out < 1:
-            raise ValueError(f"layer widths must be positive, got {widths}")
-        if i < len(widths) - 2:
+def init_params(rng: Rng, params: MlpParams) -> None:
+    """Fill `params` in place: He init for the ReLU layers, Xavier (Glorot)
+    for the last, one normal draw per layer in order; zero biases."""
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        fan_out, fan_in = w.shape
+        if i < last:
             std = np.sqrt(2.0 / fan_in)
         else:
             std = np.sqrt(2.0 / (fan_in + fan_out))
-        weights.append(rng.normal(fan_out, fan_in) * std)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+        w[...] = rng.normal(fan_out, fan_in) * std
+        b[...] = 0.0
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:

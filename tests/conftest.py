@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wwae import divergences, models, spectral
+from wwae import divergences, models, nn, spectral
 from wwae.numerics import Matrix, Rng
 from wwae.spectral import GaussStats
 
@@ -27,6 +27,14 @@ def assert_same_bits(got, want) -> None:
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def init_params(rng: Rng, widths: list[int]) -> nn.MlpParams:
+    """A network of these widths that `nn.init_params` fills from `rng`, as
+    views of a fresh vector of NaN, so a value it fails to write shows."""
+    params = nn.param_views(np.full(nn.n_params(widths), np.nan), widths)
+    nn.init_params(rng, params)
+    return params
 
 
 @pytest.fixture

@@ -1,12 +1,18 @@
+import contextlib
+import io
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     config_line,
@@ -317,6 +323,56 @@ class TestTrain:
         manifest = parse_manifest((tmp_path / "a" / "manifest.txt").read_text())
         assert any(line.startswith("diverged_at_step=") for line in manifest.final)
         assert not (tmp_path / "a" / "model.ckpt").exists()
+
+    # The five values that passed the parser before the kernel constant C
+    # was ranged: 1e308 overflowed C and leaked a RuntimeWarning, 1e150 and
+    # 1e17 made every kernel value 1 (reg=0.0), and 1e-300 and 5e-324 left a
+    # penalty of order C (reg=-5.7e-300 and -3e-323), a plain auto-encoder.
+    @example(latent_dim=2, mmd_scale=1e308)
+    @example(latent_dim=2, mmd_scale=1e150)
+    @example(latent_dim=2, mmd_scale=1e17)
+    @example(latent_dim=2, mmd_scale=1e-300)
+    @example(latent_dim=2, mmd_scale=5e-324)
+    # the ends of the accepted range, C = 2**-52 and the float below 2**52,
+    # and the first value past it
+    @example(latent_dim=1, mmd_scale=2.0**-53)
+    @example(latent_dim=1, mmd_scale=2.0**51 - 0.5)
+    @example(latent_dim=1, mmd_scale=2.0**51)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        latent_dim=st.integers(1, 4),
+        mmd_scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_any_mmd_scale_trains_or_is_one_error_line(self, latent_dim, mmd_scale):
+        values = {
+            **OVERFLOW_CFG, "latent_dim": latent_dim, "steps": 3, "lr": 0.005,
+            "regularizer": "mmd", "mmd_scale": repr(mmd_scale),
+        }
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = Path(tmp) / "out"
+            cfg = write_cfg(Path(tmp) / "mmd.cfg", **values, out_dir=out)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["train", "--config", str(cfg)])
+            assert caught == []  # a warning would print two more stderr lines
+            assert not list(Path(tmp).glob("**/*.tmp"))
+            c = mmd_scale * 2.0 * latent_dim
+            if 2.0**-52 <= c < 2.0**52:
+                assert rc == 0 and err.getvalue() == ""
+                manifest = parse_manifest((out / "manifest.txt").read_text())
+                numbers = [
+                    float(token.partition("=")[2])
+                    for line in manifest.records + manifest.final
+                    for token in line.split()
+                ]
+                assert numbers and all(math.isfinite(v) for v in numbers)
+            else:
+                assert rc == 1 and not out.exists()
+                assert err.getvalue().splitlines() == [
+                    "error: mmd_scale must be in [2**-52, 2**52) once scaled to the kernel "
+                    f"constant C = 2 * latent_dim * mmd_scale, got C = {c!r}"
+                ]
 
     def test_diverged_rerun_leaves_none_of_the_earlier_runs_files(self, tmp_path, capsys):
         out = tmp_path / "a"

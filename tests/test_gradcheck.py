@@ -266,9 +266,10 @@ def test_probes_recompute_only_from_the_bumped_layer(monkeypatch):
     assert seen == {"enc": {0, 1, 2}, "dec": {0, 1}}
 
 
-def record_bytes(forward, prior):
-    """Every value a forward record and the prior terms hold, as bytes."""
-    values = [*forward.enc_inputs, *forward.dec_inputs, forward.reg]
+def record_bytes(grads, prior):
+    """Every value the analytic call's `Grads` (its gradient and record) and
+    the prior terms hold, as bytes."""
+    values = [grads.flat, *grads.enc_inputs, *grads.dec_inputs, grads.reg]
     return [np.asarray(v).tobytes() for v in values] + prior_bytes(prior)
 
 
@@ -280,13 +281,13 @@ def test_probes_leave_the_record_unchanged(monkeypatch, case):
     def spied(*args, **kwargs):
         parts, grads = loss_and_grads(*args, **kwargs)
         if grads is not None:  # the analytic call, before any probe runs
-            snapshots.append((grads.forward, args[5], record_bytes(grads.forward, args[5])))
+            snapshots.append((grads, args[5], record_bytes(grads, args[5])))
         return parts, grads
 
     monkeypatch.setattr(models, "loss_and_grads", spied)
     gradcheck.check_config(tiny_config(enc_hidden=(5, 4), dec_hidden=(4, 5), **case))
-    ((forward, prior, before),) = snapshots
-    assert record_bytes(forward, prior) == before
+    ((grads, prior, before),) = snapshots
+    assert record_bytes(grads, prior) == before
 
 
 @pytest.mark.parametrize("case", PROBE_CASES, ids=lambda c: "-".join(c.values()))

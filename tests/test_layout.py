@@ -53,3 +53,44 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unused_definitions() == []
+
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_name_uses() -> list[str]:
+    """Each place in `src/wwae`, `scripts/` or `perfbench/` that names
+    another wwae module's private name: `<module>._x`, `wwae.<module>._x`,
+    or `_x` imported from `<module>`. Tests may reach into internals."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted(p for folder in ("scripts", "perfbench") for p in (ROOT / folder).glob("**/*.py"))
+    found = []
+    for path in files:
+        where = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                package, _, owner = (node.module or "").rpartition(".")
+                if node.level == 0 and package != "wwae":
+                    continue
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                value = node.value
+                if isinstance(value, ast.Name):
+                    owner = value.id
+                elif isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                    owner = value.attr if value.value.id == "wwae" else None
+                else:
+                    continue
+                names = [node.attr]
+            else:
+                continue
+            if owner in modules and owner != path.stem:
+                found += [f"{where}:{node.lineno} {owner}.{n}" for n in names if _private(n)]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_name_uses() == []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from dataclasses import astuple
@@ -287,13 +288,35 @@ class TestArena:
         m.enc.biases[-1][:] = -1.0
         assert np.all(m.theta[n_enc - 2 * cfg.latent_dim : n_enc] == -1.0)
 
-    def test_init_draws_unchanged(self):
-        cfg = ring_config(enc_hidden=(8, 4), dec_hidden=(5,))
-        m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
-        rng = Rng(1)
-        for net in (m.enc, m.dec):
-            ref = nn.init_params(rng, net.widths)
-            assert nn.flatten_params(ref).tobytes() == nn.flatten_params(net).tobytes()
+    @pytest.mark.parametrize(
+        "overrides,data_dim,image_data,size,digest",
+        [
+            (  # the criterion-5 ring net
+                dict(enc_hidden=(24,) * 7, dec_hidden=(24,) * 7, seed=13),
+                2, False, 7494,
+                "e6345e43d7d46fe86424521e59f2e7f8a1fc385f140dfb780db8e5a4495a1d08",
+            ),
+            (  # the criterion-6 image net, 784-256-64-16 / 8-64-256-784
+                dict(latent_dim=8, enc_hidden=(256, 64), dec_hidden=(64, 256), seed=1),
+                784, True, 437152,
+                "0bef18abc76660d82766746b9b1e443e326b04a051c79afc94cc7b58d251bb74",
+            ),
+            (  # no hidden layers
+                dict(latent_dim=3, enc_hidden=(), dec_hidden=(), seed=4),
+                5, False, 56,
+                "7a99743a6e5df6cf65e90e37fa764f4a6114d9e114d9eacf610f7631f9d3c8ba",
+            ),
+        ],
+        ids=["ring5", "image6", "no_hidden"],
+    )
+    def test_init_draws_unchanged(self, overrides, data_dim, image_data, size, digest):
+        # SHA-256 of theta as built when each network was drawn into its own
+        # arrays and the two were concatenated: the draws, their order and
+        # the scaling are unchanged since theta became the one allocation.
+        cfg = ring_config(**overrides)
+        m = build_model(cfg, data_dim, Rng(cfg.seed).split(2), image_data)
+        assert m.theta.size == size
+        assert hashlib.sha256(m.theta.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("reg", ["w2", "kl", "mmd"])
     def test_grads_equal_on_a_copy_without_arena(self, reg):
@@ -430,7 +453,7 @@ class TestLossOnly:
     def test_parts_equal_the_full_call_bit_for_bit(self, case, lam, image_data):
         args = loss_inputs(ring_config(lam=lam, **case), image_data)
         full, grads = loss_and_grads(*args)
-        only, none = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
+        only, none = loss_and_grads(*args, probe=(grads, "enc", 0))
         assert grads is not None and none is None
         assert np.array(astuple(only)).tobytes() == np.array(astuple(full)).tobytes()
 
@@ -440,10 +463,10 @@ class TestLossOnly:
         cfg = ring_config(regularizer="mmd", mmd_scale=0.5)
         args = loss_inputs(cfg, False)
         full, grads = loss_and_grads(*args)
-        only, _ = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
+        only, _ = loss_and_grads(*args, probe=(grads, "enc", 0))
         cfg.mmd_scale = 0.0  # bypasses validate
         full_after, grads_after = loss_and_grads(*args)
-        only_after, _ = loss_and_grads(*args, probe=(grads.forward, "enc", 0))
+        only_after, _ = loss_and_grads(*args, probe=(grads, "enc", 0))
         for got, want in ((full_after, full), (only_after, only)):
             assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
         assert grads_after.flat.tobytes() == grads.flat.tobytes()
@@ -461,7 +484,7 @@ class TestLossOnly:
 
         monkeypatch.setattr(divergences, "_imq_kernel", counted)
         args = loss_inputs(ring_config(regularizer="mmd"), False)
-        record = loss_and_grads(*args)[1].forward
+        record = loss_and_grads(*args)[1]
         del calls[1:]  # keep the noise draw's kxx, drop the gradient call's kernels
         monkeypatch.setattr(divergences, "mmd_imq_value_and_grad", no_gradient)
         assert loss_and_grads(*args, probe=(record, "enc", 0))[1] is None
@@ -480,7 +503,7 @@ class TestLossOnly:
         _, grads = loss_and_grads(*args)  # the spies see the full call
         assert calls == ["grad_trace_sqrtm", "batch_stats_backward"]
         calls.clear()
-        assert loss_and_grads(*args, probe=(grads.forward, "enc", 0))[1] is None
+        assert loss_and_grads(*args, probe=(grads, "enc", 0))[1] is None
         assert calls == []
 
 
@@ -498,7 +521,7 @@ class TestPriorTerms:
             monkeypatch.setattr(module, name, forbidden)
         _, grads = loss_and_grads(*args)
         for layer in range(3):
-            loss_and_grads(*args, probe=(grads.forward, "enc", layer))
+            loss_and_grads(*args, probe=(grads, "enc", layer))
 
 
 class TestTrainStep:

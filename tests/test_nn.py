@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import init_params
 from wwae.config import TrainConfig
 from wwae.nn import (
     ADAM_CHUNK,
@@ -13,7 +14,6 @@ from wwae.nn import (
     MlpParams,
     adam_step,
     flatten_params,
-    init_params,
     mlp_backward,
     mlp_forward,
     param_views,
@@ -427,5 +427,5 @@ class TestInit:
         assert abs(p.weights[0].std() - want) < 0.15 * want
 
     def test_bad_widths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^layer widths must be positive, got \[2, 0\]$"):
             init_params(Rng(1), [2, 0])
