@@ -33,7 +33,7 @@ def _blocks(state: TrainState) -> Blocks:
     """The named blocks in file order, as views of the enc || dec parameter
     and moment vectors: the per-network blocks predate the single vectors,
     and slicing keeps the files unchanged."""
-    theta, m, v, n = state.model.theta, state.adam.m, state.adam.v, state.model.enc.n_params()
+    theta, m, v, n = state.model.theta, state.adam.m, state.adam.v, state.model.enc.flat.size
     return list(zip(_BLOCKS, [theta[:n], theta[n:], m[:n], v[:n], m[n:], v[n:]]))
 
 
@@ -112,7 +112,7 @@ def _layout(manifest, text: str) -> tuple[TrainState, Blocks]:
             if stored != expected:
                 raise ValueError(
                     "checkpoint header values do not match networks of "
-                    f"{state.model.enc.n_params()} and {state.model.dec.n_params()} "
+                    f"{state.model.enc.flat.size} and {state.model.dec.flat.size} "
                     f"parameters built from its config: {key} is {stored}, "
                     f"expected {expected}"
                 )

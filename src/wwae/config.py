@@ -66,8 +66,10 @@ class TrainConfig:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        # Compared as an int, so no value overflows; below 2**51 the kernel
+        # constant C of the mmd_scale rule is in range at the default scale.
+        if not 1 <= self.latent_dim < 2**51:
+            raise ValueError(f"latent_dim must be in [1, 2**51), got {self.latent_dim}")
         for key in ("enc_hidden", "dec_hidden"):
             if any(width < 1 for width in getattr(self, key)):
                 raise ValueError(

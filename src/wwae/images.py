@@ -141,7 +141,8 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(tmp):
-            exc.filename, exc.filename2 = str(path), None
+            exc.filename = str(path)
+            del exc.filename2  # str(exc) prints "-> None" for a None filename2
         raise
 
 

@@ -38,12 +38,12 @@ class EncoderOut:
 class Model:
     """Encoder and decoder networks plus the decoder output transform.
 
-    A model from `build_model` or `arena_model` keeps every weight and bias
-    as a view of one vector, `theta`, laid out enc || dec in the
-    `nn.flatten_params` order of each network; training updates `theta` in
-    place. A model assembled from separate arrays has `theta = None`: it
-    evaluates and differentiates like any other but cannot be trained or
-    saved.
+    Each network is an `nn.MlpParams(flat, widths)`, its layers views of
+    its `flat`. In a model from `build_model` or `arena_model` the two
+    `flat` vectors are the halves of one vector, `theta` = enc || dec, and
+    training updates `theta` in place. A model assembled from separate
+    networks has `theta = None`: it evaluates and differentiates like any
+    other but cannot be trained or saved.
     """
 
     enc: nn.MlpParams
@@ -66,8 +66,8 @@ def arena_model(cfg: TrainConfig, data_dim: int, image_data: bool) -> Model:
     enc_widths, dec_widths = net_widths(cfg, data_dim)
     n_enc = nn.n_params(enc_widths)
     theta = np.empty(n_enc + nn.n_params(dec_widths))
-    enc = nn.param_views(theta[:n_enc], enc_widths)
-    dec = nn.param_views(theta[n_enc:], dec_widths)
+    enc = nn.MlpParams(theta[:n_enc], enc_widths)
+    dec = nn.MlpParams(theta[n_enc:], dec_widths)
     return Model(enc, dec, cfg.latent_dim, "sigmoid" if image_data else "identity", theta)
 
 
@@ -267,8 +267,8 @@ def loss_and_grads(
     if model.output_activation == "sigmoid":
         d_xhat *= x_hat
         d_xhat *= 1.0 - x_hat
-    n_enc = model.enc.n_params()
-    flat = np.empty(n_enc + model.dec.n_params())
+    n_enc = model.enc.flat.size
+    flat = np.empty(n_enc + model.dec.flat.size)
     result = Grads(flat, flat[:n_enc], flat[n_enc:], out.inputs, dec_inputs, reg)
     d_z = nn.mlp_backward(model.dec, dec_inputs, d_xhat, out=result.dec)
 

@@ -1,5 +1,6 @@
-"""Minimal fully-connected stack: forward that records each layer's input,
-exact reverse-mode backward, parameter flattening, He/Xavier init, and Adam.
+"""Minimal fully-connected stack: one flat parameter vector with a view of
+each layer, forward that records each layer's input, exact reverse-mode
+backward, He/Xavier init, and Adam.
 
 Activations follow position: every layer but the last is ReLU and the last
 is linear, so a stack is fully described by its widths.
@@ -28,36 +29,48 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class MlpParams:
-    """Ordered (weight, bias) pairs; hidden layers are ReLU, the last linear.
+    """A stack's parameters as one float64 vector `flat` and its layer
+    widths; hidden layers are ReLU, the last linear.
 
-    weights[i] has shape (out_i, in_i); biases[i] has shape (out_i,).
-    Layer widths chain: in_{i+1} == out_i.
+    `weights[i]`, of shape (widths[i + 1], widths[i]), and `biases[i]`, of
+    shape (widths[i + 1],), are views of `flat`: layer by layer, each weight
+    row-major before its bias. Writing to a layer writes to `flat`, and the
+    reverse.
     """
 
-    weights: list[Matrix]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    widths: list[int]
+    weights: list[Matrix] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
-            raise ValueError("layer lists must have equal length")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i + 1].shape[1] != self.weights[i].shape[0]:
-                raise ValueError(
-                    f"layer {i} output width {self.weights[i].shape[0]} does not "
-                    f"feed layer {i + 1} input width {self.weights[i + 1].shape[1]}"
-                )
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def n_params(self) -> int:
-        return n_params(self.widths)
+        offsets = _offsets(tuple(self.widths))
+        if self.flat.shape != (offsets[-1][2],):
+            raise ValueError(
+                f"expected {offsets[-1][2]} values for widths {self.widths}, "
+                f"got shape {self.flat.shape}"
+            )
+        self.weights = [self.flat[a:b].reshape(-1, n) for (a, b, _), n in zip(offsets, self.widths)]
+        self.biases = [self.flat[b:c] for _, b, c in offsets]
 
 
 def n_params(widths: list[int]) -> int:
     """Weight and bias count of a stack with these layer widths."""
-    return sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
+    return _offsets(tuple(widths))[-1][2]
+
+
+@functools.lru_cache(maxsize=64)  # a process meets a few widths
+def _offsets(widths: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Each layer's weight start, bias start and bias end in the flat layout."""
+    if len(widths) < 2:
+        raise ValueError(f"a stack needs two or more layer widths, got {list(widths)}")
+    if min(widths) < 1:
+        raise ValueError(f"layer widths must be positive, got {list(widths)}")
+    table, pos = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        table.append((pos, pos + fan_in * fan_out, pos + fan_in * fan_out + fan_out))
+        pos = table[-1][2]
+    return tuple(table)
 
 
 @dataclass
@@ -119,7 +132,11 @@ def mlp_backward(
     y_shape = (inputs[-1].shape[0], params.weights[-1].shape[0])
     if grad_y.shape != y_shape:
         raise ValueError(f"grad shape {grad_y.shape} does not match output {y_shape}")
-    offsets = _layer_offsets(out, params.widths)
+    if out.size != params.flat.size:
+        raise ValueError(
+            f"expected {params.flat.size} values for widths {params.widths}, got {out.size}"
+        )
+    offsets = _offsets(tuple(params.widths))
     ds = grad_y  # the last layer is linear
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
@@ -147,45 +164,12 @@ def init_params(rng: Rng, params: MlpParams) -> None:
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
-@functools.lru_cache(maxsize=64)  # a process meets a few widths
-def _offsets(widths: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """Each layer's weight start, bias start and bias end in the flat layout."""
-    table, pos = [], 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        table.append((pos, pos + fan_in * fan_out, pos + fan_in * fan_out + fan_out))
-        pos = table[-1][2]
-    return tuple(table)
-
-
-def _layer_offsets(flat: np.ndarray, widths: list[int]) -> tuple[tuple[int, int, int], ...]:
-    """The `_offsets` of `widths`, once `flat` is checked to hold that layout."""
-    if min(widths) < 1:
-        raise ValueError(f"layer widths must be positive, got {widths}")
-    offsets = _offsets(tuple(widths))
-    total = offsets[-1][2] if offsets else 0
-    if flat.size != total:
-        raise ValueError(f"expected {total} values for widths {widths}, got {flat.size}")
-    return offsets
-
-
-def param_views(flat: np.ndarray, widths: list[int]) -> MlpParams:
-    """Weights and biases as reshaped views of `flat`, in `flatten_params`
-    order: writing to a layer writes to `flat`, and the reverse."""
-    offsets = _layer_offsets(flat, widths)
-    weights = [flat[a:b].reshape(fan_out, -1) for (a, b, _), fan_out in zip(offsets, widths[1:])]
-    return MlpParams(weights, [flat[b:c] for _, b, c in offsets])
+    return params.flat.copy()
 
 
 def unflatten_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
     """A copy of `flat` shaped like `like`; it shares no memory with `flat`."""
-    return param_views(np.array(flat, dtype=np.float64), like.widths)
+    return MlpParams(np.array(flat, dtype=np.float64), like.widths)
 
 
 def adam_step(

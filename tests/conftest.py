@@ -30,10 +30,23 @@ def assert_same_bits(got, want) -> None:
 
 
 def init_params(rng: Rng, widths: list[int]) -> nn.MlpParams:
-    """A network of these widths that `nn.init_params` fills from `rng`, as
-    views of a fresh vector of NaN, so a value it fails to write shows."""
-    params = nn.param_views(np.full(nn.n_params(widths), np.nan), widths)
+    """A network of these widths that `nn.init_params` fills from `rng`, on
+    a fresh vector of NaN, so a value it fails to write shows."""
+    params = nn.MlpParams(np.full(nn.n_params(widths), np.nan), widths)
     nn.init_params(rng, params)
+    return params
+
+
+def mlp(weights: list, biases: list) -> nn.MlpParams:
+    """A network whose layers hold copies of these weights, each of shape
+    (fan_out, fan_in), and biases, built on one flat vector like every
+    network."""
+    assert len(weights) == len(biases)
+    widths = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
+    params = nn.MlpParams(np.empty(nn.n_params(widths)), widths)
+    for view, layer in zip(params.weights + params.biases, [*weights, *biases]):
+        assert view.shape == np.shape(layer)
+        view[...] = layer
     return params
 
 

@@ -374,6 +374,19 @@ class TestTrain:
                     f"constant C = 2 * latent_dim * mmd_scale, got C = {c!r}"
                 ]
 
+    # 10**400 overflowed the float conversion of the mmd_scale rule into a
+    # traceback, and 10**30 on a w2 config was refused as a bad mmd_scale
+    @pytest.mark.parametrize("latent_dim", [10**400, 10**30, 2**51])
+    def test_huge_latent_dim_is_one_error_line_naming_it(self, tmp_path, capsys, latent_dim):
+        values = {**OVERFLOW_CFG, "latent_dim": latent_dim, "steps": 3, "lr": 0.005}
+        cfg = write_cfg(tmp_path / "c.cfg", **values, out_dir=tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err.splitlines() == [
+            f"error: latent_dim must be in [1, 2**51), got {latent_dim}"
+        ]
+
     def test_diverged_rerun_leaves_none_of_the_earlier_runs_files(self, tmp_path, capsys):
         out = tmp_path / "a"
         first = {k: v for k, v in OVERFLOW_CFG.items() if k != "lr"}
@@ -921,16 +934,17 @@ LIMITED_MAIN = (
 
 
 class TestArtifactWrites:
-    @pytest.mark.parametrize("command", ["sample", "latent"])
+    @pytest.mark.parametrize("command", ["sample", "latent", "reconstruct"])
     def test_missing_directory_names_the_given_path(
         self, ring_run, tmp_path, capsys, monkeypatch, command
     ):
+        # the line ends at the path: no temporary name, no " -> None"
         monkeypatch.chdir(tmp_path)
         rc = main([command, "--ckpt", str(ring_run["ckpt"]), "--out", "missing/s.csv"])
         assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "missing/s.csv" in err[0] and ".tmp" not in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 2] No such file or directory: 'missing/s.csv'"
+        ]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -10,10 +10,11 @@ from conftest import (
     imq_kernel_matrix,
     mmd_imq,
     mmd_imq_grad_y,
+    mlp,
     random_spd,
     w2_1d_empirical,
 )
-from wwae import divergences, models, nn, spectral
+from wwae import divergences, models, spectral
 from wwae.config import TrainConfig
 from wwae.divergences import (
     W2Variant,
@@ -232,7 +233,7 @@ def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
     """The KL regularizer of one example whose encoder heads output mu and
     logvar, through `models.encode` (which clamps) and the table entry."""
     ell = len(mu)
-    enc = nn.MlpParams([np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])])
+    enc = mlp([np.zeros((2 * ell, 1))], [np.concatenate([mu, logvar])])
     out = models.encode(enc, np.zeros((1, 1)))
     cfg = TrainConfig(regularizer="kl", latent_dim=ell)
     return models.REGULARIZERS["kl"].term(cfg, out.mu, out, None, None, False)[0]

@@ -55,7 +55,6 @@ def test_every_definition_has_a_caller():
     assert unused_definitions() == []
 
 
-
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
@@ -94,3 +93,24 @@ def private_name_uses() -> list[str]:
 
 def test_no_module_reads_another_modules_private_names():
     assert private_name_uses() == []
+
+
+def mlp_params_callers() -> list[str]:
+    """Each top-level definition (`<module>.<name>`) in `src/wwae`,
+    `scripts/` or `perfbench/` that calls `MlpParams(...)`."""
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted(p for folder in ("scripts", "perfbench") for p in (ROOT / folder).glob("**/*.py"))
+    found = set()
+    for path in files:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "MlpParams" in _names(node.func):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_networks_are_built_only_on_their_flat_vector():
+    # MlpParams has no check that layers made apart chain: its widths alone
+    # shape them. These two cut every network from a flat vector, a model's
+    # from its one theta.
+    assert mlp_params_callers() == ["models.arena_model", "nn.unflatten_params"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wwae import nn
+from conftest import mlp
 from wwae.data import Dataset, make_ring, ring_centers
 from wwae.images import write_points_csv
 from wwae.metrics import (
@@ -249,7 +249,7 @@ class TestModeCoverage:
 class TestLatentReport:
     def zero_encoder(self, d, ell):
         w = np.zeros((2 * ell, d))
-        return nn.MlpParams([w], [np.zeros(2 * ell)])
+        return mlp([w], [np.zeros(2 * ell)])
 
     def test_zero_encoder_codes_are_noise(self, rng):
         ds = make_ring(Rng(5).split(3), 512)

@@ -11,6 +11,7 @@ from conftest import (
     assert_same_bits,
     config_line,
     edit_checkpoint_header,
+    mlp,
     prior_bytes,
 )
 from wwae import config, divergences, models, nn, spectral
@@ -81,7 +82,7 @@ def fresh_state(cfg):
 
 class TestEncode:
     def test_zero_weight_net(self):
-        p = nn.MlpParams([np.zeros((4, 3))], [np.zeros(4)])
+        p = mlp([np.zeros((4, 3))], [np.zeros(4)])
         out = encode(p, np.ones((2, 3)))
         np.testing.assert_array_equal(out.mu, np.zeros((2, 2)))
         np.testing.assert_array_equal(out.logvar, np.zeros((2, 2)))
@@ -89,14 +90,14 @@ class TestEncode:
     def test_head_split_hand_values(self):
         # single linear layer: first half of outputs = mu, second = logvar
         w = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
-        p = nn.MlpParams([w], [np.zeros(4)])
+        p = mlp([w], [np.zeros(4)])
         out = encode(p, np.array([[3.0, -1.0]]))
         np.testing.assert_array_equal(out.mu, [[3.0, -1.0]])
         np.testing.assert_array_equal(out.logvar, [[6.0, -2.0]])
 
     def test_logvar_clamped(self):
         w = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
-        p = nn.MlpParams([w], [np.zeros(4)])
+        p = mlp([w], [np.zeros(4)])
         out = encode(p, np.array([[5.0, 0.0]]))
         np.testing.assert_array_equal(out.logvar, [[30.0, -30.0]])
 
@@ -172,8 +173,8 @@ class TestInPlaceBits:
 
 def linear_model(enc_w, enc_b, dec_w, dec_b) -> Model:
     """One identity layer each way, with the given weights and biases."""
-    enc = nn.MlpParams([np.array(enc_w, float)], [np.array(enc_b, float)])
-    dec = nn.MlpParams([np.array(dec_w, float)], [np.array(dec_b, float)])
+    enc = mlp([np.array(enc_w, float)], [np.array(enc_b, float)])
+    dec = mlp([np.array(dec_w, float)], [np.array(dec_b, float)])
     return Model(enc, dec, np.shape(dec_w)[1], "identity")
 
 
@@ -277,10 +278,12 @@ class TestArena:
     def test_networks_are_views_of_theta(self):
         cfg = ring_config(enc_hidden=(8, 4), dec_hidden=(5,))
         m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
-        n_enc = m.enc.n_params()
-        assert m.theta.size == n_enc + m.dec.n_params()
-        assert m.theta[:n_enc].tobytes() == nn.flatten_params(m.enc).tobytes()
-        assert m.theta[n_enc:].tobytes() == nn.flatten_params(m.dec).tobytes()
+        n_enc = m.enc.flat.size
+        assert m.theta.size == n_enc + m.dec.flat.size
+        # each network's vector is its half of theta, not a copy
+        for flat, half in ((m.enc.flat, m.theta[:n_enc]), (m.dec.flat, m.theta[n_enc:])):
+            assert flat.base is m.theta
+            assert flat.__array_interface__ == half.__array_interface__
         for a in m.enc.weights + m.enc.biases + m.dec.weights + m.dec.biases:
             assert np.shares_memory(a, m.theta)
         m.theta[n_enc] = 5.0  # first decoder weight
@@ -323,7 +326,7 @@ class TestArena:
         cfg = ring_config(regularizer=reg, enc_hidden=(16, 8), dec_hidden=(8, 16))
         state, ds = fresh_state(cfg)
         m = state.model
-        n_enc = m.enc.n_params()
+        n_enc = m.enc.flat.size
         copy = Model(
             nn.unflatten_params(m.theta[:n_enc], m.enc),
             nn.unflatten_params(m.theta[n_enc:], m.dec),
@@ -645,8 +648,8 @@ class TestGenerateReconstruct:
         # the sigmoid already lies in [+0, 1] or is NaN, so generate adds no clamp
         ell = 3
         logits = np.array([1e3, -1e3, np.inf, -np.inf, np.nan, 0.0, -0.0, 40.0, -40.0])
-        enc = nn.MlpParams([np.zeros((2 * ell, 9))], [np.zeros(2 * ell)])
-        dec = nn.MlpParams([np.zeros((9, ell))], [logits])
+        enc = mlp([np.zeros((2 * ell, 9))], [np.zeros(2 * ell)])
+        dec = mlp([np.zeros((9, ell))], [logits])
         m = Model(enc, dec, ell, "sigmoid")
         with np.errstate(over="ignore"):
             x = generate(m, Rng(4), 6)
@@ -806,7 +809,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(state.model.dec.weights, back.model.dec.weights):
             np.testing.assert_array_equal(a, b)
-        n_enc = state.model.enc.n_params()
+        n_enc = state.model.enc.flat.size
         np.testing.assert_array_equal(state.adam.m[:n_enc], back.adam.m[:n_enc])
         np.testing.assert_array_equal(state.adam.v[n_enc:], back.adam.v[n_enc:])
         np.testing.assert_array_equal(state.adam.m, back.adam.m)
@@ -949,7 +952,7 @@ class TestCheckpoint:
         for _ in range(3):
             train_step(state, next(stream))
         save_checkpoint(path, state)
-        n_enc, n_dec = state.model.enc.n_params(), state.model.dec.n_params()
+        n_enc, n_dec = state.model.enc.flat.size, state.model.dec.flat.size
         return [8 * n for n in (n_enc, n_dec, n_enc, n_enc, n_dec, n_dec)]
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import init_params
+from conftest import init_params, mlp
 from wwae.config import TrainConfig
 from wwae.nn import (
     ADAM_CHUNK,
@@ -16,21 +16,20 @@ from wwae.nn import (
     flatten_params,
     mlp_backward,
     mlp_forward,
-    param_views,
     unflatten_params,
 )
 from wwae.numerics import Rng
 
 
 def identity_layer(d):
-    return MlpParams([np.eye(d)], [np.zeros(d)])
+    return mlp([np.eye(d)], [np.zeros(d)])
 
 
 def backward(p, inputs, gy):
     """mlp_backward into a fresh vector; its layer views and the input gradient."""
-    flat = np.empty(p.n_params())
+    flat = np.empty(p.flat.size)
     gx = mlp_backward(p, inputs, gy, out=flat)
-    return param_views(flat, p.widths), gx
+    return MlpParams(flat, p.widths), gx
 
 
 class TestForward:
@@ -41,7 +40,7 @@ class TestForward:
 
     def test_relu_layer(self):
         # identity weights around the hidden layer, so only its ReLU shows
-        p = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+        p = mlp([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
         y, _ = mlp_forward(p, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(y, [[0.0, 2.0]])
 
@@ -51,7 +50,7 @@ class TestForward:
         b1 = np.array([0.5, -1.0])
         w2 = np.array([[1.0, 1.0]])
         b2 = np.array([0.25])
-        p = MlpParams([w1, w2], [b1, b2])
+        p = mlp([w1, w2], [b1, b2])
         x = np.array([[1.0, 2.0]])
         h = np.maximum(x @ w1.T + b1, 0.0)  # [max(-0.5,0), max(1,0)] = [0, 1]
         want = h @ w2.T + b2  # 1.25
@@ -90,9 +89,9 @@ class TestBackward:
         gy = Rng(10).normal(5, 2)
         _, inputs = mlp_forward(p, x)
         g, gx = backward(p, inputs, gy)
-        out = np.full(p.n_params() + 2, np.nan)
+        out = np.full(p.flat.size + 2, np.nan)
         none = mlp_backward(p, inputs, gy, out=out[1:-1], input_grad=False)
-        g2 = param_views(out[1:-1], p.widths)
+        g2 = MlpParams(out[1:-1], p.widths)
         assert none is None and gx.shape == x.shape
         assert out[1:-1].tobytes() == flatten_params(g).tobytes()
         assert np.isnan(out[0]) and np.isnan(out[-1])
@@ -106,7 +105,7 @@ class TestBackward:
         p = init_params(Rng(5), widths)
         _, inputs = mlp_forward(p, Rng(6).normal(1024, widths[0]))
         gy = Rng(7).normal(1024, widths[-1])
-        out = np.empty(p.n_params())
+        out = np.empty(p.flat.size)
         tracemalloc.start()
         try:
             mlp_backward(p, inputs, gy, out=out, input_grad=False)
@@ -134,15 +133,15 @@ class TestBackward:
 
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=6), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_buffer_matches_param_views_reference(self, widths, rows, seed):
-        # each layer's gradient lands where param_views puts that layer,
+    def test_buffer_matches_layer_views_reference(self, widths, rows, seed):
+        # each layer's gradient lands where MlpParams puts that layer,
         # width-1 layers included
         p = init_params(Rng(seed), widths)
         _, inputs = mlp_forward(p, Rng(seed).split(0).normal(rows, widths[0]))
         gy = Rng(seed).split(1).normal(rows, widths[-1])
-        out, want = np.full(p.n_params(), np.nan), np.full(p.n_params(), np.nan)
+        out, want = np.full(p.flat.size, np.nan), np.full(p.flat.size, np.nan)
         gx = mlp_backward(p, inputs, gy, out=out)
-        views, ds = param_views(want, widths), gy
+        views, ds = MlpParams(want, widths), gy
         for i in reversed(range(len(widths) - 1)):
             np.matmul(ds.T, inputs[i], out=views.weights[i])
             np.add.reduce(ds, axis=0, out=views.biases[i])
@@ -180,10 +179,10 @@ class TestBackward:
     def test_wrong_gradient_length(self):
         p = init_params(Rng(8), [3, 4, 2])
         y, inputs = mlp_forward(p, Rng(9).normal(5, 3))
-        with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
-            mlp_backward(p, inputs, y, out=np.empty(p.n_params() + 1))
-        with pytest.raises(ValueError, match=f"expected {p.n_params()} values"):
-            mlp_backward(p, inputs, y, out=np.empty(p.n_params() - 1))
+        with pytest.raises(ValueError, match=f"expected {p.flat.size} values"):
+            mlp_backward(p, inputs, y, out=np.empty(p.flat.size + 1))
+        with pytest.raises(ValueError, match=f"expected {p.flat.size} values"):
+            mlp_backward(p, inputs, y, out=np.empty(p.flat.size - 1))
 
     def test_rejects_partial_record_and_wrong_grad_shape(self):
         p = init_params(Rng(8), [3, 4, 2])
@@ -191,9 +190,9 @@ class TestBackward:
         _, inputs = mlp_forward(p, x)
         y, partial = mlp_forward(p, inputs[1], start=1)
         with pytest.raises(ValueError, match="do not match network depth"):
-            mlp_backward(p, partial, y, out=np.empty(p.n_params()))
+            mlp_backward(p, partial, y, out=np.empty(p.flat.size))
         with pytest.raises(ValueError, match=r"\(5, 3\) does not match output \(5, 2\)"):
-            mlp_backward(p, inputs, np.zeros((5, 3)), out=np.empty(p.n_params()))
+            mlp_backward(p, inputs, np.zeros((5, 3)), out=np.empty(p.flat.size))
 
     def test_zero_grad(self):
         p = identity_layer(3)
@@ -205,7 +204,7 @@ class TestBackward:
 
     def test_linear_layer_grads(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        p = MlpParams([w], [np.zeros(2)])
+        p = mlp([w], [np.zeros(2)])
         x = np.array([[1.0, -1.0], [2.0, 0.5]])
         y, inputs = mlp_forward(p, x)
         gy = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -264,23 +263,33 @@ def test_unflatten_copies_and_views_alias():
     flat = flatten_params(p)
     q = unflatten_params(flat, p)
     assert not any(np.shares_memory(w, flat) for w in q.weights + q.biases)
-    views = param_views(flat, p.widths)
+    views = MlpParams(flat, p.widths)
     views.weights[1][0, 0] = 7.0
     assert flat[4 * 3 + 4] == 7.0
-    with pytest.raises(ValueError):
-        param_views(flat[:-1], p.widths)
+
+
+def test_flatten_copies():
+    p = init_params(Rng(2), [3, 4, 2])
+    flat = flatten_params(p)
+    assert flat.tobytes() == p.flat.tobytes() and not np.shares_memory(flat, p.flat)
 
 
 def test_unflatten_wrong_size():
     p = identity_layer(2)
     with pytest.raises(ValueError):
-        unflatten_params(np.zeros(p.n_params() + 1), p)
+        unflatten_params(np.zeros(p.flat.size + 1), p)
 
 
-def test_mlp_params_validation():
-    with pytest.raises(ValueError):
-        # 2-wide output feeding a 3-wide input
-        MlpParams([np.eye(2), np.zeros((1, 3))], [np.zeros(2), np.zeros(1)])
+def test_mlp_params_checks_its_vector_and_widths():
+    flat = np.zeros(4 * 3 + 4 + 2 * 4 + 2)
+    with pytest.raises(ValueError, match=r"^expected 26 values for widths \[3, 4, 2\], got shape \(25,\)$"):
+        MlpParams(flat[:-1], [3, 4, 2])
+    with pytest.raises(ValueError, match=r"got shape \(2, 13\)$"):
+        MlpParams(flat.reshape(2, 13), [3, 4, 2])
+    with pytest.raises(ValueError, match=r"^layer widths must be positive, got \[3, 0, 2\]$"):
+        MlpParams(np.zeros(3), [3, 0, 2])
+    with pytest.raises(ValueError, match=r"^a stack needs two or more layer widths, got \[3\]$"):
+        MlpParams(np.zeros(0), [3])
 
 
 # lr, beta1, beta2 as the default config sets them
