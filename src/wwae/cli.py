@@ -115,8 +115,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with images.atomic_open(out_dir / MANIFEST_NAME) as fh:
         fh.write("\n".join([*manifest, "# final", *final]) + "\n")
     if diverged is not None:
-        print(f"error: {diverged}", file=sys.stderr)
-        return 1
+        raise diverged
     print(f"done steps={state.step} out={out_dir} wall={time.monotonic() - started:.1f}s")
     return 0
 
@@ -286,7 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError, MemoryError, TrainingDiverged) as exc:
+    except (ValueError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,9 +71,15 @@ class TrainConfig:
         if not 1 <= self.latent_dim < 2**51:
             raise ValueError(f"latent_dim must be in [1, 2**51), got {self.latent_dim}")
         for key in ("enc_hidden", "dec_hidden"):
-            if any(width < 1 for width in getattr(self, key)):
+            widths = getattr(self, key)
+            if any(width < 1 for width in widths):
+                raise ValueError(f"{key} must be all >= 1, got {_format_value(widths)}")
+            # A lower bound on the network's parameter count: its count with
+            # one-wide data and codes. 2**32 float64 values are 32 GiB, and a
+            # run keeps four such vectors: theta, its gradient, Adam's moments.
+            if sum((a + 1) * b for a, b in zip((1, *widths), (*widths, 1))) >= 2**32:
                 raise ValueError(
-                    f"{key} must be all >= 1, got {_format_value(getattr(self, key))}"
+                    f"{key} must need fewer than 2**32 parameters, got {_format_value(widths)}"
                 )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -15,7 +15,6 @@ This is the decisive correctness gate for the hand-written backward passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,16 +44,6 @@ class GradCheckResult:
         )
 
 
-def _coordinates(model: models.Model) -> Iterator[tuple[str, int, str]]:
-    """Network, layer and name of each parameter, in `Model.theta` order."""
-    for net, params in (("enc", model.enc), ("dec", model.dec)):
-        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-            for i, j in np.ndindex(w.shape):
-                yield net, layer, f"{net}.W{layer}[{i},{j}]"
-            for i in range(b.size):
-                yield net, layer, f"{net}.b{layer}[{i}]"
-
-
 def check_model_grads(state: models.TrainState, x: np.ndarray) -> GradCheckResult:
     """Compare analytic and central-difference gradients on one fixed batch.
     The noise draw advances `state.rng` (pass a copy with its own `rng` to
@@ -66,31 +55,35 @@ def check_model_grads(state: models.TrainState, x: np.ndarray) -> GradCheckResul
     args = (model, cfg, x, eps, z_prior, prior)
     _, grads = models.loss_and_grads(*args)
     theta = model.theta
-
-    def loss_at(k: int, value: float, probe: tuple) -> float:
-        theta[k] = value
-        return models.loss_and_grads(*args, probe=probe)[0].total
-
-    max_rel = 0.0
-    worst = "none"
-    checked = 0
-    for k, (net, layer, name) in enumerate(_coordinates(model)):
-        saved = theta[k]
+    table = models.tensors(model)
+    fd = np.empty_like(theta)
+    for _, net, layer, start, view in table:
         probe = (grads, net, layer)
-        hi = loss_at(k, saved + FD_STEP, probe)
-        lo = loss_at(k, saved - FD_STEP, probe)
-        theta[k] = saved
-        fd = (hi - lo) / (2.0 * FD_STEP)
-        a = grads.flat[k]
-        scale = max(abs(a), abs(fd))
-        if scale <= GRAD_FLOOR:
-            continue
-        rel = abs(a - fd) / scale
-        checked += 1
-        if rel > max_rel:
-            max_rel, worst = rel, name
+        for k in range(start, start + view.size):
+            saved = theta[k]
+            theta[k] = saved + FD_STEP
+            hi = models.loss_and_grads(*args, probe=probe)[0].total
+            theta[k] = saved - FD_STEP
+            lo = models.loss_and_grads(*args, probe=probe)[0].total
+            theta[k] = saved
+            fd[k] = (hi - lo) / (2.0 * FD_STEP)
+
+    # The larger magnitude as Python's max takes it: |a| when |fd| is NaN.
+    # A NaN error counts as checked but is never the worst; ties go to the
+    # first coordinate.
+    a, b = np.abs(grads.flat), np.abs(fd)
+    scale = np.where(b > a, b, a)
+    checked = ~(scale <= GRAD_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(grads.flat - fd) / scale
+    rel = np.where(checked & (rel > 0.0), rel, 0.0)
+    k = int(np.argmax(rel))
+    max_rel, worst = float(rel[k]), "none"
+    for name, _, _, start, view in table:
+        if max_rel > 0.0 and start <= k < start + view.size:
+            worst = f"{name}[{','.join(map(str, np.unravel_index(k - start, view.shape)))}]"
     kind = f"w2_{cfg.w2_variant}" if cfg.regularizer == "w2" else cfg.regularizer
-    return GradCheckResult(kind, max_rel, worst, checked, max_rel <= REL_TOL)
+    return GradCheckResult(kind, max_rel, worst, int(checked.sum()), max_rel <= REL_TOL)
 
 
 def check_config(cfg: TrainConfig) -> GradCheckResult:

@@ -71,6 +71,18 @@ def arena_model(cfg: TrainConfig, data_dim: int, image_data: bool) -> Model:
     return Model(enc, dec, cfg.latent_dim, "sigmoid" if image_data else "identity", theta)
 
 
+def tensors(model: Model) -> list[tuple[str, str, int, int, np.ndarray]]:
+    """Each weight and bias of `model` in `theta` order, as its name
+    (`enc.W0`, `dec.b1`), network, layer, start in `theta` and view."""
+    table, base = [], 0
+    for net, params in (("enc", model.enc), ("dec", model.dec)):
+        for layer, (w, b, _) in enumerate(params.offsets):
+            table.append((f"{net}.W{layer}", net, layer, base + w, params.weights[layer]))
+            table.append((f"{net}.b{layer}", net, layer, base + b, params.biases[layer]))
+        base += params.flat.size
+    return table
+
+
 @dataclass
 class LossParts:
     total: float
@@ -361,19 +373,12 @@ def train_step(state: TrainState, x: Matrix) -> LossParts:
 
 
 def check_finite(state: TrainState) -> None:
-    """Raise TrainingDiverged naming each layer with a non-finite parameter.
+    """Raise TrainingDiverged naming each tensor with a non-finite parameter.
     It reads every parameter, so callers run it before they use or save the
     parameters, not after every step."""
-    m = state.model
-    layers = [
-        f"{net}.{kind}{i}"
-        for net, params in (("enc", m.enc), ("dec", m.dec))
-        for i, wb in enumerate(zip(params.weights, params.biases))
-        for kind, a in zip("Wb", wb)
-        if not np.isfinite(a).all()
-    ]
-    if layers:
-        raise TrainingDiverged(state.step, "parameters", ", ".join(layers))
+    bad = [name for name, *_, view in tensors(state.model) if not np.isfinite(view).all()]
+    if bad:
+        raise TrainingDiverged(state.step, "parameters", ", ".join(bad))
 
 
 def generate(model: Model, rng: Rng, count: int) -> Matrix:

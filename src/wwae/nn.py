@@ -13,7 +13,6 @@ that pre-activation is, so it also holds layer i's ReLU mask.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,16 +34,18 @@ class MlpParams:
     `weights[i]`, of shape (widths[i + 1], widths[i]), and `biases[i]`, of
     shape (widths[i + 1],), are views of `flat`: layer by layer, each weight
     row-major before its bias. Writing to a layer writes to `flat`, and the
-    reverse.
+    reverse. `offsets[i]` is layer i's weight start, bias start and bias
+    end in `flat`.
     """
 
     flat: np.ndarray
     widths: list[int]
+    offsets: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
     weights: list[Matrix] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        offsets = _offsets(tuple(self.widths))
+        self.offsets = offsets = _offsets(self.widths)
         if self.flat.shape != (offsets[-1][2],):
             raise ValueError(
                 f"expected {offsets[-1][2]} values for widths {self.widths}, "
@@ -56,11 +57,10 @@ class MlpParams:
 
 def n_params(widths: list[int]) -> int:
     """Weight and bias count of a stack with these layer widths."""
-    return _offsets(tuple(widths))[-1][2]
+    return _offsets(widths)[-1][2]
 
 
-@functools.lru_cache(maxsize=64)  # a process meets a few widths
-def _offsets(widths: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+def _offsets(widths: list[int]) -> tuple[tuple[int, int, int], ...]:
     """Each layer's weight start, bias start and bias end in the flat layout."""
     if len(widths) < 2:
         raise ValueError(f"a stack needs two or more layer widths, got {list(widths)}")
@@ -136,11 +136,10 @@ def mlp_backward(
         raise ValueError(
             f"expected {params.flat.size} values for widths {params.widths}, got {out.size}"
         )
-    offsets = _offsets(tuple(params.widths))
     ds = grad_y  # the last layer is linear
     for i in reversed(range(len(params.weights))):
         w = params.weights[i]
-        start, mid, end = offsets[i]
+        start, mid, end = params.offsets[i]
         np.matmul(ds.T, inputs[i], out=out[start:mid].reshape(w.shape))
         np.add.reduce(ds, axis=0, out=out[mid:end])
         if i == 0:

@@ -194,10 +194,30 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("broken", ["header", "labels"])
+    def test_broken_idx_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, broken):
+        # an images file cut inside its 16-byte header, or a label file with
+        # fewer entries than the images it names
+        monkeypatch.chdir(tmp_path)
+        ds = make_blob_images(Rng(0), 32, side=5)
+        write_idx_images("blobs-images-idx3", ds.examples, ds.image_shape)
+        write_idx_labels("blobs-labels-idx1", ds.labels[:10])
+        if broken == "header":
+            Path("blobs-images-idx3").write_bytes(Path("blobs-images-idx3").read_bytes()[:10])
+        values = {**SMALL_IMAGE_CFG, "data_path": "blobs-images-idx3", "out_dir": "out"}
+        assert main(["train", "--config", str(write_cfg(Path("c.cfg"), **values))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not Path("out").exists()
+        assert captured.err.splitlines() == [{
+            "header": "error: truncated IDX file blobs-images-idx3: no header",
+            "labels": "error: label file has 10 entries for 32 images",
+        }[broken]]
+
     def test_network_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys):
-        # 10**15 hidden units need petabytes, far above a 2**47-byte address
-        # space, so the allocation fails at once and touches no memory
-        values = {**RING_CFG, "enc_hidden": 10**15, "out_dir": tmp_path / "out"}
+        # 2**50 codes need mean and log-variance heads of petabytes, far above
+        # a 2**47-byte address space, so the allocation fails at once and
+        # touches no memory
+        values = {**RING_CFG, "latent_dim": 2**50, "out_dir": tmp_path / "out"}
         cfg = write_cfg(tmp_path / "big.cfg", **values)
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -385,6 +405,22 @@ class TestTrain:
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert captured.err.splitlines() == [
             f"error: latent_dim must be in [1, 2**51), got {latent_dim}"
+        ]
+
+    # Each hidden width here ended in the allocation's own line, which named
+    # no key: "Maximum allowed dimension exceeded" or "Unable to allocate".
+    @pytest.mark.parametrize("key", ["enc_hidden", "dec_hidden"])
+    @pytest.mark.parametrize("widths", [10**400, 10**30, 10**11, "65536,65536"])
+    def test_huge_hidden_widths_are_one_error_line_naming_them(
+        self, tmp_path, capsys, key, widths
+    ):
+        values = {**OVERFLOW_CFG, key: widths, "steps": 3, "lr": 0.005}
+        cfg = write_cfg(tmp_path / "c.cfg", **values, out_dir=tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err.splitlines() == [
+            f"error: {key} must need fewer than 2**32 parameters, got {widths}"
         ]
 
     def test_diverged_rerun_leaves_none_of_the_earlier_runs_files(self, tmp_path, capsys):

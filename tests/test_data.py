@@ -143,6 +143,12 @@ class TestWriteIdx:
         write_idx_labels(lp, np.array([0, 255, 7]))
         np.testing.assert_array_equal(load_idx(ip, lp).labels, [0, 255, 7])
 
+    def test_rows_that_do_not_fill_the_shape_rejected(self, tmp_path):
+        p = tmp_path / "i"
+        with pytest.raises(ValueError, match="^rows have 5 pixels, shape wants 6$"):
+            write_idx_images(p, np.zeros((2, 5)), (2, 3))
+        assert not p.exists()
+
     @pytest.mark.parametrize("kind", ["images", "labels"])
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, kind):
         from wwae import images

@@ -82,6 +82,130 @@ def test_corrupted_gradients_detected(monkeypatch):
     assert res.worst == "enc.W0[0,0]"
 
 
+# The gradcheck net of scripts/artifact_digest.py (GRADCHECK_RING): two
+# hidden layers per network, seed 2. On correct code seeds 3 and 4 of this
+# net fail at a relative error of 1.00 across a ReLU kink, so it keeps seed 2.
+def digest_ring(**overrides):
+    return tiny_config(enc_hidden=(6, 5), dec_hidden=(5, 6), **overrides)
+
+
+DIGEST_CASES = [
+    dict(regularizer="w2", w2_variant="root_product", prior_stats="sampled"),
+    dict(regularizer="w2", w2_variant="bures", prior_stats="exact"),
+    dict(regularizer="mmd"),
+    dict(regularizer="kl"),
+]
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+@pytest.mark.parametrize("case", DIGEST_CASES, ids=lambda c: "-".join(c.values()))
+def test_log_variance_fault_fails_the_check(monkeypatch, case, faulty):
+    # The fault scales the log-variance half of the encoder's output gradient
+    # by 1.01; each check reads status=pass on the clean code and status=fail
+    # with the fault (max_rel_err 4e-7 or less against 3.8e-2 to 1.02).
+    backward = nn.mlp_backward
+
+    def scaled(params, inputs, grad_y, out, input_grad=True):
+        if not input_grad:  # the encoder's call
+            grad_y = grad_y.copy()
+            grad_y[:, grad_y.shape[1] // 2 :] *= 1.01
+        return backward(params, inputs, grad_y, out, input_grad)
+
+    if faulty:
+        monkeypatch.setattr(nn, "mlp_backward", scaled)
+    line = gradcheck.check_config(digest_ring(**case)).report_line()
+    assert line.endswith("status=fail" if faulty else "status=pass"), line
+
+
+def edited_check(monkeypatch, cfg, grad_idx, grad_value, probe_total):
+    """`check_config(cfg)` with `grads.flat[grad_idx] = grad_value` in the
+    analytic call and each probe's total replaced by `probe_total(i, total)`,
+    counting probes i from 0: probe 2k bumps coordinate k up, 2k + 1 down.
+    Returns the result, the edited gradient and every probe total."""
+    loss_and_grads = models.loss_and_grads
+    analytic, totals = [], []
+
+    def edited(*args, **kwargs):
+        parts, grads = loss_and_grads(*args, **kwargs)
+        if grads is not None:
+            grads.flat[grad_idx] = grad_value
+            analytic.append(grads.flat.copy())
+        else:
+            parts = dataclasses.replace(parts, total=probe_total(len(totals), parts.total))
+            totals.append(parts.total)
+        return parts, grads
+
+    monkeypatch.setattr(models, "loss_and_grads", edited)
+    return gradcheck.check_config(cfg), analytic[0], totals
+
+
+@pytest.mark.parametrize(
+    "grad_idx, grad_value, probe_total, line",
+    [
+        # On clean code the worst is theta[107] (dec.W1[3,0]) of 119 checked.
+        # A NaN analytic gradient at theta[18], under the floor on clean code,
+        # is counted; a NaN difference at theta[107] is counted but the worst
+        # moves on; one at theta[19], under the floor, stays skipped. The
+        # line is the one the scalar loop this reduction replaced printed.
+        ([18], np.nan, lambda i, t: np.nan if i in (2 * 107, 2 * 19) else t,
+         "max_rel_err=9.946637e-09 worst=enc.W1[4,4] checked=120 tol=0.0001 status=pass"),
+        # a zero analytic gradient against a nonzero difference is off by
+        # exactly 1: at theta[2] and theta[40] a tie, which the first wins
+        ([2, 40], 0.0, lambda i, t: t,
+         "max_rel_err=1.000000e+00 worst=enc.W0[1,0] checked=119 tol=0.0001 status=fail"),
+        # zero gradients and flat probes: every coordinate is under the floor
+        (slice(None), 0.0, lambda i, t: 0.0,
+         "max_rel_err=0.000000e+00 worst=none checked=0 tol=0.0001 status=pass"),
+    ],
+    ids=["nan", "tie", "none"],
+)
+def test_nan_tie_and_none_cases(monkeypatch, grad_idx, grad_value, probe_total, line):
+    res = edited_check(monkeypatch, digest_ring(), grad_idx, grad_value, probe_total)[0]
+    assert res.report_line() == f"regularizer=w2_root_product {line}"
+
+
+def scalar_reduction(widths, a, fd):
+    """The per-coordinate loop that the masked reduction replaced: its
+    max_rel_err, worst and checked for the analytic gradient a and the
+    differences fd of networks with these widths."""
+    names = [
+        name
+        for net, ws in zip(("enc", "dec"), widths)
+        for layer, (fan_in, fan_out) in enumerate(zip(ws[:-1], ws[1:]))
+        for name in [f"{net}.W{layer}[{i},{j}]" for i, j in np.ndindex(fan_out, fan_in)]
+        + [f"{net}.b{layer}[{i}]" for i in range(fan_out)]
+    ]
+    max_rel, worst, checked = 0.0, "none", 0
+    for name, ak, fk in zip(names, a, fd):
+        scale = max(abs(ak), abs(fk))
+        if scale <= gradcheck.GRAD_FLOOR:
+            continue
+        rel = abs(ak - fk) / scale
+        checked += 1
+        if rel > max_rel:
+            max_rel, worst = rel, name
+    return max_rel, worst, checked
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduction_matches_the_scalar_loop(monkeypatch, seed):
+    # NaN, infinite and zero analytic gradients (zeros tie at a relative
+    # error of 1) and NaN or infinite probe totals, at random coordinates
+    rng = np.random.default_rng(seed)
+    cfg = tiny_config()
+    widths = models.net_widths(cfg, 2)
+    n = sum(nn.n_params(w) for w in widths)
+    bad = dict(zip(rng.choice(2 * n, 6, replace=False), [np.nan, np.inf, -np.inf] * 2))
+    values = [np.nan] * 3 + [np.inf, -np.inf] + [0.0] * 7
+    with np.errstate(invalid="ignore"):
+        res, a, totals = edited_check(
+            monkeypatch, cfg, rng.choice(n, 12, replace=False), values, lambda i, t: bad.get(i, t)
+        )
+        fd = [(hi - lo) / (2.0 * gradcheck.FD_STEP) for hi, lo in zip(totals[::2], totals[1::2])]
+        want = scalar_reduction(widths, a, fd)
+    assert (res.max_rel_err, res.worst, res.checked) == want
+
+
 def test_idx_check_reads_only_the_batch(monkeypatch, tmp_path):
     # IDX prefixes are exact, so the check converts only the batch_size rows
     # it uses and reports what it reports on the whole file

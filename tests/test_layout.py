@@ -95,18 +95,24 @@ def test_no_module_reads_another_modules_private_names():
     assert private_name_uses() == []
 
 
-def mlp_params_callers() -> list[str]:
+def definitions_where(found_in) -> list[str]:
     """Each top-level definition (`<module>.<name>`) in `src/wwae`,
-    `scripts/` or `perfbench/` that calls `MlpParams(...)`."""
+    `scripts/` or `perfbench/` with a node for which `found_in` is true."""
     files = sorted(PACKAGE.glob("*.py"))
     files += sorted(p for folder in ("scripts", "perfbench") for p in (ROOT / folder).glob("**/*.py"))
     found = set()
     for path in files:
         for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "MlpParams" in _names(node.func):
-                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+            if any(found_in(node) for node in ast.walk(top)):
+                found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return sorted(found)
+
+
+def mlp_params_callers() -> list[str]:
+    """Each definition that calls `MlpParams(...)`."""
+    return definitions_where(
+        lambda node: isinstance(node, ast.Call) and "MlpParams" in _names(node.func)
+    )
 
 
 def test_networks_are_built_only_on_their_flat_vector():
@@ -114,3 +120,12 @@ def test_networks_are_built_only_on_their_flat_vector():
     # shape them. These two cut every network from a flat vector, a model's
     # from its one theta.
     assert mlp_params_callers() == ["models.arena_model", "nn.unflatten_params"]
+
+
+def test_offsets_are_read_in_nn_and_by_the_tensor_table():
+    # a network's layout is nn's, and every walk over a model's tensors
+    # goes through `models.tensors`
+    readers = definitions_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "offsets"
+    )
+    assert readers == ["models.tensors", "nn.MlpParams", "nn.mlp_backward"]

@@ -291,6 +291,34 @@ class TestArena:
         m.enc.biases[-1][:] = -1.0
         assert np.all(m.theta[n_enc - 2 * cfg.latent_dim : n_enc] == -1.0)
 
+    def test_tensors_tile_theta_in_order(self):
+        cfg = ring_config(enc_hidden=(8, 4), dec_hidden=(5,))
+        m = build_model(cfg, data_dim=3, rng=Rng(1), image_data=False)
+        table = models.tensors(m)
+        assert [(name, net, layer) for name, net, layer, _, _ in table] == [
+            (f"{net}.{kind}{layer}", net, layer)
+            for net, depth in (("enc", 3), ("dec", 2))
+            for layer in range(depth)
+            for kind in "Wb"
+        ]
+        end = 0
+        for _, _, _, start, view in table:
+            assert start == end
+            want = m.theta[start : start + view.size].reshape(view.shape)
+            assert view.__array_interface__ == want.__array_interface__
+            end += view.size
+        assert end == m.theta.size
+
+    def test_check_finite_names_each_bad_tensor(self):
+        state, _ = fresh_state(ring_config(enc_hidden=(8, 4), dec_hidden=(5,)))
+        starts = {name: start for name, _, _, start, _ in models.tensors(state.model)}
+        models.check_finite(state)
+        state.model.theta[starts["enc.W1"] + 3] = np.nan
+        state.model.theta[starts["dec.W1"] - 1] = np.inf  # the last of dec.b0
+        with pytest.raises(TrainingDiverged) as info:
+            models.check_finite(state)
+        assert str(info.value) == "non-finite parameters at step 0: enc.W1, dec.b0"
+
     @pytest.mark.parametrize(
         "overrides,data_dim,image_data,size,digest",
         [
